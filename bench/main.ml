@@ -125,24 +125,22 @@ let ablation_benchmarks () =
         let inst, config = Lazy.force willows_fixture in
         ignore (Bbc.Stability.is_stable inst config) );
     (* Stability engines on the same fixture, labelled by engine.  The
-       old pair compared `is_stable` (incremental engine, default on)
-       against `is_stable_parallel ~domains:4` (from-scratch) and called
-       them "sequential" vs "4 domains" — an engine confound, not a
-       domain-count ablation.  Only the last two differ by domain count
-       alone (both from-scratch over the shared CSR snapshot, one node
-       per chunk pull). *)
+       incremental row passes its own context (built per call, as a
+       one-off query would); the last two are the context-free
+       from-scratch scan over the shared CSR snapshot and differ by
+       domain count alone. *)
     ( "ablation/stability incremental (n=126)",
       fun () ->
         let inst, config = Lazy.force big_willows_fixture in
-        ignore (Bbc.Stability.is_stable inst config) );
+        ignore (Bbc.Stability.is_stable ~ctx:(Bbc.Incr.create inst config) inst config) );
     ( "ablation/stability from-scratch 1 domain (n=126)",
       fun () ->
         let inst, config = Lazy.force big_willows_fixture in
-        ignore (Bbc.Stability.is_stable ~jobs:1 ~incremental:false inst config) );
+        ignore (Bbc.Stability.is_stable ~jobs:1 inst config) );
     ( "ablation/stability from-scratch 4 domains (n=126)",
       fun () ->
         let inst, config = Lazy.force big_willows_fixture in
-        ignore (Bbc.Stability.is_stable_parallel ~domains:4 inst config) );
+        ignore (Bbc.Stability.is_stable ~jobs:4 inst config) );
   ]
 
 (* Allocation per call, measured with [Gc.quick_stat] deltas over a few
@@ -1354,7 +1352,8 @@ let () =
       in
       (* The seq-vs-par section measures the domain pool, so the
          incremental engine (sequential by construction) must stay out
-         of the from-scratch code paths it times. *)
+         of the exhaustive search's subtrees, which it would otherwise
+         take over. *)
       let speedups =
         let was = Bbc.Incr.enabled () in
         Bbc.Incr.set_enabled false;

@@ -187,9 +187,13 @@ let merged_cost ~objective instance u ~src rv luv =
 let obs_subsets = Bbc_obs.counter "best_response.subsets"
 let obs_enumerations = Bbc_obs.counter "best_response.enumerations"
 
-(* DFS over affordable subsets of candidates.  [on_subset strategy_rev cost]
+(* DFS over affordable subsets of candidates.  [on_subset chosen cost]
    is called for every feasible subset (including the empty one); it
-   returns [true] to abort the search early. *)
+   returns [true] to abort the search early.  The subset under test
+   lives in an int stack, and [chosen ()] builds it as a list — in
+   candidate order, so increasing unless the caller passes its own
+   [candidates] order — only for the subsets a caller keeps: the
+   enumeration itself allocates nothing per subset. *)
 let dfs_enumerate ?candidates ~objective instance u ~rows ~on_subset =
   let ws = Workspace.get () in
   let candidates =
@@ -205,6 +209,14 @@ let dfs_enumerate ?candidates ~objective instance u ~rows ~on_subset =
   for j = ncand - 1 downto 0 do
     min_cost_from.(j) <- min costs.(j) min_cost_from.(j + 1)
   done;
+  let stack = Array.make ncand 0 and depth = ref 0 in
+  let chosen () =
+    let acc = ref [] in
+    for d = !depth - 1 downto 0 do
+      acc := stack.(d) :: !acc
+    done;
+    !acc
+  in
   let n = Instance.n instance in
   let stop = ref false in
   let subsets = ref 1 in
@@ -215,14 +227,14 @@ let dfs_enumerate ?candidates ~objective instance u ~rows ~on_subset =
       Workspace.release ws base;
       release_rows ws rows)
     (fun () ->
-      if on_subset [] (Eval.cost_of_distances ~objective instance u base) then
+      if on_subset chosen (Eval.cost_of_distances ~objective instance u base) then
         stop := true;
       (* Every subset is costed by the one-pass [merged_cost]; the merged
          row itself is materialized (into a pooled row borrowed for the
          subtree) only when the DFS actually descends — i.e. when some
          further candidate is still affordable.  Leaves, the bulk of the
          enumeration, never touch a buffer. *)
-      let rec dfs i chosen budget cur =
+      let rec dfs i d budget cur =
         if not !stop then
           for j = i to ncand - 1 do
             if not !stop then begin
@@ -231,21 +243,22 @@ let dfs_enumerate ?candidates ~objective instance u ~rows ~on_subset =
               if c <= budget then begin
                 let rv = row rows v in
                 let luv = Instance.length instance u v in
-                let chosen' = v :: chosen in
+                stack.(d) <- v;
+                depth := d + 1;
                 incr subsets;
-                if on_subset chosen' (merged_cost ~objective instance u ~src:cur rv luv)
+                if on_subset chosen (merged_cost ~objective instance u ~src:cur rv luv)
                 then stop := true
                 else if min_cost_from.(j + 1) <= budget - c then begin
                   let cur' = Workspace.acquire ws n in
                   merge_into ~src:cur ~dst:cur' rv luv;
-                  dfs (j + 1) chosen' (budget - c) cur';
+                  dfs (j + 1) (d + 1) (budget - c) cur';
                   Workspace.release ws cur'
                 end
               end
             end
           done
       in
-      dfs 0 [] (Instance.budget instance u) base);
+      dfs 0 0 (Instance.budget instance u) base);
   Bbc_obs.incr obs_enumerations;
   Bbc_obs.add obs_subsets !subsets
 
@@ -255,12 +268,15 @@ let dfs_enumerate ?candidates ~objective instance u ~rows ~on_subset =
 let analytic_enumerate ~objective ctx instance u ~on_subset =
   let stop = ref false in
   let subsets = ref 1 in
-  if on_subset [] (Incr.empty_cost ~objective ctx u) then stop := true;
+  let single = ref (-1) in
+  let chosen () = if !single < 0 then [] else [ !single ] in
+  if on_subset chosen (Incr.empty_cost ~objective ctx u) then stop := true;
   List.iter
     (fun v ->
       if not !stop then begin
         incr subsets;
-        if on_subset [ v ] (Incr.singleton_cost ~objective ctx u v) then stop := true
+        single := v;
+        if on_subset chosen (Incr.singleton_cost ~objective ctx u v) then stop := true
       end)
     (candidate_targets instance u);
   Bbc_obs.incr obs_enumerations;
@@ -285,9 +301,9 @@ let enumerate ?(objective = Objective.Sum) ?ctx ?csr instance config u ~on_subse
 let exact ?objective ?ctx ?csr instance config u =
   let best = ref { strategy = []; cost = max_int } in
   enumerate ?objective ?ctx ?csr instance config u ~on_subset:(fun chosen cost ->
-      if cost < !best.cost then best := { strategy = List.rev chosen; cost };
+      if cost < !best.cost then best := { strategy = chosen (); cost };
       false);
-  { !best with strategy = List.sort compare !best.strategy }
+  !best
 
 let best_cost ?objective ?ctx ?csr instance config u =
   (exact ?objective ?ctx ?csr instance config u).cost
@@ -297,9 +313,9 @@ let all_best ?objective ?ctx ?csr instance config u =
   enumerate ?objective ?ctx ?csr instance config u ~on_subset:(fun chosen cost ->
       if cost < !best then begin
         best := cost;
-        acc := [ List.sort compare chosen ]
+        acc := [ chosen () ]
       end
-      else if cost = !best then acc := List.sort compare chosen :: !acc;
+      else if cost = !best then acc := chosen () :: !acc;
       false);
   List.rev_map (fun strategy -> { strategy; cost = !best }) !acc
 
@@ -318,7 +334,7 @@ let improving ?objective ?ctx ?csr instance config u =
   let found = ref None in
   enumerate ?objective ?ctx ?csr instance config u ~on_subset:(fun chosen cost ->
       if cost < current then begin
-        found := Some { strategy = List.sort compare chosen; cost };
+        found := Some { strategy = chosen (); cost };
         true
       end
       else false);
@@ -345,7 +361,7 @@ let sampled ?(objective = Objective.Sum) ?csr ~rng ~sample instance config u =
   dfs_enumerate ~candidates ~objective instance u
     ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)
     ~on_subset:(fun chosen cost ->
-      if cost < !best.cost then best := { strategy = chosen; cost };
+      if cost < !best.cost then best := { strategy = chosen (); cost };
       false);
   if !best.cost < current then
     Some { strategy = List.sort compare !best.strategy; cost = !best.cost }

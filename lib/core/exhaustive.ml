@@ -160,7 +160,7 @@ let search ?objective ?candidates ?(limit = 1) ?(max_profiles = 100_000_000) ?jo
           let stable =
             if use_incr then
               Stability.is_stable ?objective ~ctx:(Lazy.force ctx) instance view
-            else Stability.is_stable ?objective ~incremental:false instance view
+            else Stability.is_stable ?objective instance view
           in
           if stable then begin
             equilibria := Config.snapshot view :: !equilibria;

@@ -5,29 +5,29 @@
     fixed.  Verification runs one exact best-response computation per
     node; [is_stable] short-circuits on the first unstable node.
 
-    {b Engines.}  With [incremental] (default: {!Incr.enabled}) each call
-    builds one {!Incr} context and scans nodes sequentially against its
-    delta-repaired SSSPs.  With [~incremental:false] the per-node checks
-    are independent from-scratch computations fanned over the
-    {!Bbc_parallel} domain pool ([?jobs], early abort).  Both engines
-    return identical results — verdicts, nodes, and costs.
+    {b Engines.}  Without a context, the per-node checks are
+    independent from-scratch best responses against one shared CSR
+    snapshot of the profile, fanned over the {!Bbc_parallel} domain pool
+    with early abort.  With [?ctx], a caller-owned {!Incr} context (a
+    server session, a long dynamics walk, an Exhaustive subtree), the
+    nodes are scanned sequentially against its delta-repaired SSSPs: the
+    context is re-synced to [config] via {!Incr.ensure} (a no-op when
+    already in sync) and its version-counter caches are reused, so
+    repeated queries against a slowly-mutating configuration only pay
+    for what actually changed.  The context must have been created for
+    the same instance.  Both engines return identical results —
+    verdicts, nodes, and costs.
 
-    {b Context reuse.}  Every entry point also accepts [?ctx], a
-    caller-owned {!Incr} context (a server session, a long dynamics
-    walk).  Passing one forces the incremental engine, re-syncs the
-    context to [config] via {!Incr.ensure} (a no-op when already in
-    sync), and reuses its version-counter caches — repeated stability
-    queries against a slowly-mutating configuration then only pay for
-    what actually changed.  The context must have been created for the
-    same instance.
-
-    {b Parallelism.}  From-scratch per-node checks only read the shared
-    instance and profile (both immutable) and build their own [G_{-u}]
-    scratch graphs, honouring the read-only-graph contract of
-    {!Bbc_graph.Digraph}.  The [?jobs] parameter (default:
-    {!Bbc_parallel.default_jobs} for n >= 64, sequential below) applies
-    to the from-scratch engine; the incremental engine is sequential by
-    construction (contexts are single-domain state). *)
+    {b Parallelism.}  From-scratch checks only read the shared instance,
+    profile and snapshot (all immutable), honouring the read-only-graph
+    contract of {!Bbc_graph.Digraph}.  An explicit [?jobs] always wins.
+    Otherwise the job count follows the scan's enumeration work — per
+    node, the affordable candidate subsets, each scored against an
+    n-entry distance row, summed over the scanned nodes: small scans
+    stay on the calling domain, larger ones use
+    {!Bbc_parallel.default_jobs}.  The context engine is sequential by
+    construction (contexts are single-domain state) and ignores
+    [?jobs]. *)
 
 type deviation = {
   node : int;
@@ -39,7 +39,6 @@ val is_stable :
   ?objective:Objective.t ->
   ?jobs:int ->
   ?ctx:Incr.ctx ->
-  ?incremental:bool ->
   Instance.t ->
   Config.t ->
   bool
@@ -47,7 +46,6 @@ val is_stable :
 val nodes_stable :
   ?objective:Objective.t ->
   ?ctx:Incr.ctx ->
-  ?incremental:bool ->
   Instance.t ->
   Config.t ->
   int list ->
@@ -57,18 +55,10 @@ val nodes_stable :
     representative per orbit of a vertex-symmetric configuration is
     equivalent to verifying every node. *)
 
-val is_stable_parallel :
-  ?objective:Objective.t -> ?domains:int -> Instance.t -> Config.t -> bool
-(** [is_stable ~jobs:domains ~incremental:false] — kept for
-    compatibility; [domains] defaults to {!Bbc_parallel.default_jobs}
-    (no size threshold, so this always engages the pool).  Exact same
-    verdict as {!is_stable}. *)
-
 val find_deviation :
   ?objective:Objective.t ->
   ?jobs:int ->
   ?ctx:Incr.ctx ->
-  ?incremental:bool ->
   Instance.t ->
   Config.t ->
   deviation option
@@ -80,7 +70,6 @@ val unstable_nodes :
   ?objective:Objective.t ->
   ?jobs:int ->
   ?ctx:Incr.ctx ->
-  ?incremental:bool ->
   Instance.t ->
   Config.t ->
   int list
@@ -90,7 +79,6 @@ val stability_gap :
   ?objective:Objective.t ->
   ?jobs:int ->
   ?ctx:Incr.ctx ->
-  ?incremental:bool ->
   Instance.t ->
   Config.t ->
   int

@@ -382,22 +382,16 @@ let deviation_to_string = function
 
 let prop_stability_engines (inst, cfg0, ms) =
   let cfg = List.fold_left (fun c (u, s) -> C.with_strategy c u s) cfg0 ms in
-  let inc = Bbc.Stability.find_deviation ~incremental:true inst cfg in
-  let scr = Bbc.Stability.find_deviation ~incremental:false ~jobs:1 inst cfg in
-  let same =
-    match (inc, scr) with
-    | None, None -> true
-    | Some a, Some b ->
-        a.Bbc.Stability.node = b.Bbc.Stability.node
-        && a.current_cost = b.current_cost
-        && a.better.BR.cost = b.better.BR.cost
-        && a.better.BR.strategy = b.better.BR.strategy
-    | _ -> false
-  in
-  if same then ok
-  else
-    failf "find_deviation: incremental says %S, from-scratch says %S"
-      (deviation_to_string inc) (deviation_to_string scr)
+  let inc = Bbc.Stability.find_deviation ~ctx:(Bbc.Incr.create inst cfg) inst cfg in
+  (* The from-scratch scan on the calling domain and on the pool. *)
+  check_all
+    (fun jobs ->
+      let scr = Bbc.Stability.find_deviation ~jobs inst cfg in
+      if inc = scr then ok
+      else
+        failf "find_deviation: incremental says %S, from-scratch (jobs=%d) says %S"
+          (deviation_to_string inc) jobs (deviation_to_string scr))
+    [ 1; 2 ]
 
 let incr_suite =
   let render (inst, cfg, ms) = (inst, Some cfg, moves_to_string ms) in
@@ -554,7 +548,7 @@ let mirror_expected m (op : Domain_gen.op) =
         ]
   | Domain_gen.Stable -> (
       match
-        Bbc.Stability.find_deviation ~incremental:false ~jobs:1 m.inst m.cfg
+        Bbc.Stability.find_deviation ~jobs:1 m.inst m.cfg
       with
       | None ->
           Json.Obj [ ("stable", Json.Bool true); ("feasible", Json.Bool true) ]

@@ -232,6 +232,8 @@ let test_mask_roundtrip () =
 (* ---------------------------------------------------------------- *)
 (* Layer 3: stability and dynamics differentials.                     *)
 
+(* The context engine against the context-free from-scratch scan, on
+   the calling domain and on the pool. *)
 let test_stability_matches () =
   let rng = Splitmix.create 47 in
   List.iter
@@ -239,34 +241,34 @@ let test_stability_matches () =
       List.iter
         (fun objective ->
           let config = random_config rng instance in
-          Alcotest.(check bool)
-            (name ^ ": is_stable")
-            (Bbc.Stability.is_stable ~objective ~incremental:false instance config)
-            (Bbc.Stability.is_stable ~objective ~incremental:true instance config);
+          let ctx () = Bbc.Incr.create instance config in
           let project (d : Bbc.Stability.deviation option) =
             Option.map
               (fun (d : Bbc.Stability.deviation) ->
                 (d.node, d.current_cost, d.better.strategy, d.better.cost))
               d
           in
-          let dev_s =
-            Bbc.Stability.find_deviation ~objective ~incremental:false instance config
-          in
-          let dev_i =
-            Bbc.Stability.find_deviation ~objective ~incremental:true instance config
-          in
-          Alcotest.(check bool)
-            (name ^ ": find_deviation")
-            true
-            (project dev_s = project dev_i);
-          Alcotest.(check (list int))
-            (name ^ ": unstable_nodes")
-            (Bbc.Stability.unstable_nodes ~objective ~incremental:false instance config)
-            (Bbc.Stability.unstable_nodes ~objective ~incremental:true instance config);
-          Alcotest.(check int)
-            (name ^ ": stability_gap")
-            (Bbc.Stability.stability_gap ~objective ~incremental:false instance config)
-            (Bbc.Stability.stability_gap ~objective ~incremental:true instance config))
+          List.iter
+            (fun jobs ->
+              let label what = Printf.sprintf "%s: %s (jobs=%d)" name what jobs in
+              Alcotest.(check bool)
+                (label "is_stable")
+                (Bbc.Stability.is_stable ~objective ~ctx:(ctx ()) instance config)
+                (Bbc.Stability.is_stable ~objective ~jobs instance config);
+              Alcotest.(check bool)
+                (label "find_deviation")
+                true
+                (project (Bbc.Stability.find_deviation ~objective ~ctx:(ctx ()) instance config)
+                = project (Bbc.Stability.find_deviation ~objective ~jobs instance config));
+              Alcotest.(check (list int))
+                (label "unstable_nodes")
+                (Bbc.Stability.unstable_nodes ~objective ~ctx:(ctx ()) instance config)
+                (Bbc.Stability.unstable_nodes ~objective ~jobs instance config);
+              Alcotest.(check int)
+                (label "stability_gap")
+                (Bbc.Stability.stability_gap ~objective ~ctx:(ctx ()) instance config)
+                (Bbc.Stability.stability_gap ~objective ~jobs instance config))
+            [ 1; 2 ])
         objectives)
     (instances rng)
 

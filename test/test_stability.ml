@@ -100,17 +100,48 @@ let test_parallel_agrees_with_sequential () =
     let inst = I.uniform ~n ~k:2 in
     let c = C.of_graph (Bbc_graph.Generators.random_k_out rng ~n ~k:2) in
     Alcotest.(check bool) "parallel = sequential" (S.is_stable inst c)
-      (S.is_stable_parallel ~domains:3 inst c)
+      (S.is_stable ~jobs:3 inst c)
   done;
   (* A known stable graph, with more domains than useful. *)
   let inst, config = Bbc.Willows.build { k = 2; h = 2; l = 1 } in
-  Alcotest.(check bool) "stable willows" true
-    (S.is_stable_parallel ~domains:4 inst config);
-  Alcotest.(check bool) "degenerate domain count" true
-    (S.is_stable_parallel ~domains:1 inst config)
+  Alcotest.(check bool) "stable willows" true (S.is_stable ~jobs:4 inst config);
+  Alcotest.(check bool) "degenerate domain count" true (S.is_stable ~jobs:1 inst config)
+
+(* Without [?jobs] the job count follows the scan's enumeration work:
+   the Theorem-8 anarchy scan (n = 41, k = 3) goes onto the pool, tiny
+   games stay on the calling domain, and every verdict equals the
+   context engine's. *)
+let test_engine_choice () =
+  let tasks = Bbc_obs.counter "pool.tasks" in
+  let saved_jobs = Bbc_parallel.default_jobs () and was_enabled = Bbc_obs.enabled () in
+  Bbc_parallel.set_default_jobs 2;
+  Bbc_obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Bbc_parallel.set_default_jobs saved_jobs;
+      if not was_enabled then Bbc_obs.disable ())
+    (fun () ->
+      let pool_tasks name ?objective inst config =
+        let expected = S.is_stable ?objective ~ctx:(Bbc.Incr.create inst config) inst config in
+        let before = Bbc_obs.counter_value tasks in
+        Alcotest.(check bool) (name ^ ": verdict") expected (S.is_stable ?objective inst config);
+        Bbc_obs.counter_value tasks - before
+      in
+      let inst, config = Option.get (Bbc.Constructions.max_anarchy_equilibrium ~k:3 ~l:8) in
+      Alcotest.(check bool) "anarchy scan on the pool" true
+        (pool_tasks "anarchy" ~objective:Bbc.Objective.Max inst config > 0);
+      let rng = Bbc_prng.Splitmix.create 12 in
+      for _ = 1 to 3 do
+        let c = C.of_graph (Bbc_graph.Generators.random_k_out rng ~n:12 ~k:2) in
+        Alcotest.(check int) "12-node k=2 game sequential" 0
+          (pool_tasks "12-node" (I.uniform ~n:12 ~k:2) c)
+      done;
+      let core = Bbc.Gadget.core () in
+      Alcotest.(check int) "E1 core sequential" 0 (pool_tasks "core" core (C.empty (I.n core))))
 
 let suite =
   suite
   @ [
       Alcotest.test_case "parallel stability" `Quick test_parallel_agrees_with_sequential;
+      Alcotest.test_case "engine choice by enumeration work" `Quick test_engine_choice;
     ]
