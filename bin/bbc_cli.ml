@@ -502,7 +502,7 @@ let serve_cmd =
         }
       in
       let serve () =
-        if stdio then Bbc_server.Server.run ~engine Bbc_server.Server.Stdio
+        if stdio then Bbc_server.Server.run ~engine ()
         else begin
           let listeners =
             (match socket with
@@ -526,13 +526,9 @@ let serve_cmd =
                   (Bbc_server.Net.endpoint_to_string l.l_endpoint))
               listeners
           in
-          if workers = 1 then
-            Bbc_server.Server.run ~on_ready:announce ~engine
-              (Bbc_server.Server.Listen listeners)
-          else
-            Bbc_server.Front.run
-              ~on_ready:(fun _ -> announce ())
-              ~engine ~workers listeners
+          Bbc_server.Front.run
+            ~on_ready:(fun _ -> announce ())
+            ~engine ~workers listeners
         end
       in
       match

@@ -133,40 +133,42 @@ let env t =
 (* ---------------------------------------------------------------- *)
 (* Admission                                                          *)
 
+let admit t ~client (req : Protocol.request) =
+  if t.stopping then begin
+    Atomic.incr t.rejected;
+    `Reply (Protocol.error ~id:req.id Protocol.Shutting_down "server is draining")
+  end
+  else if Queue.length t.queue >= t.cfg.queue_cap then begin
+    Atomic.incr t.overloads;
+    Bbc_obs.incr t.obs_overloads;
+    `Reply
+      (Protocol.error ~id:req.id Protocol.Overloaded
+         (Printf.sprintf "admission queue full (%d requests)" t.cfg.queue_cap))
+  end
+  else begin
+    let arrival = t.cfg.now () in
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    Queue.add
+      {
+        p_seq = seq;
+        p_client = client;
+        p_req = req;
+        p_arrival_ns = arrival;
+        p_deadline_ns =
+          Option.map (fun ms -> arrival + (ms * 1_000_000)) req.deadline_ms;
+      }
+      t.queue;
+    Bbc_obs.set_gauge t.obs_queue_depth (float_of_int (Queue.length t.queue));
+    `Queued
+  end
+
 let submit t ~client line =
   match Protocol.parse_request line with
   | Error (id, code, msg) ->
       Atomic.incr t.rejected;
       `Reply (Protocol.error ~id code msg)
-  | Ok req ->
-      if t.stopping then begin
-        Atomic.incr t.rejected;
-        `Reply (Protocol.error ~id:req.id Protocol.Shutting_down "server is draining")
-      end
-      else if Queue.length t.queue >= t.cfg.queue_cap then begin
-        Atomic.incr t.overloads;
-        Bbc_obs.incr t.obs_overloads;
-        `Reply
-          (Protocol.error ~id:req.id Protocol.Overloaded
-             (Printf.sprintf "admission queue full (%d requests)" t.cfg.queue_cap))
-      end
-      else begin
-        let arrival = t.cfg.now () in
-        let seq = t.next_seq in
-        t.next_seq <- seq + 1;
-        Queue.add
-          {
-            p_seq = seq;
-            p_client = client;
-            p_req = req;
-            p_arrival_ns = arrival;
-            p_deadline_ns =
-              Option.map (fun ms -> arrival + (ms * 1_000_000)) req.deadline_ms;
-          }
-          t.queue;
-        Bbc_obs.set_gauge t.obs_queue_depth (float_of_int (Queue.length t.queue));
-        `Queued
-      end
+  | Ok req -> admit t ~client req
 
 (* ---------------------------------------------------------------- *)
 (* Batch execution                                                    *)

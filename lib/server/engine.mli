@@ -53,9 +53,15 @@ type t
 val create : config -> t
 
 val submit : t -> client:int -> string -> [ `Queued | `Reply of string ]
-(** Admit one raw request line from connection [client].  [`Reply] is an
-    immediate response (parse error, unknown method, overload,
-    shutting down) the transport must deliver itself. *)
+(** Parse one raw request line from connection [client] and {!admit}
+    it.  [`Reply] is an immediate response (parse error, unknown
+    method, overload, shutting down) the transport must deliver
+    itself. *)
+
+val admit : t -> client:int -> Protocol.request -> [ `Queued | `Reply of string ]
+(** {!submit} for a request the caller has already parsed (the front
+    tier parses every line to route it): queue it, or answer at once
+    with [overloaded] or [shutting_down]. *)
 
 val run_batch : t -> (int * string) list
 (** Execute one batch; [(client, response line)] in admission order.

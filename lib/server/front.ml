@@ -28,6 +28,7 @@ type pend =
   | Direct of { d_conn : int; d_id : Json.t; d_worker : int }
   | Part of fanout * int  (** worker index *)
 
+(* A forked worker, seen from the front's end of its socketpair. *)
 type wstate = {
   w_index : int;
   mutable w_pid : int;
@@ -37,9 +38,13 @@ type wstate = {
   mutable w_eof : bool;
 }
 
+(* What serves a shard: an engine in this process ([workers = 1]), or
+   a forked worker process. *)
+type backend = Local of Engine.t | Forked of wstate
+
 type t = {
   wcfg : Engine.config;
-  workers : wstate array;
+  workers : backend array;
   conns : (int, conn) Hashtbl.t;
   pending : (int, pend) Hashtbl.t;  (** worker-token -> continuation *)
   mutable next_conn : int;
@@ -55,14 +60,16 @@ type t = {
 type handle = t
 
 let worker_pids t =
-  Array.to_list (Array.map (fun w -> w.w_pid) t.workers)
+  List.filter_map
+    (function Forked w -> Some w.w_pid | Local _ -> None)
+    (Array.to_list t.workers)
 
 let request_stop t = Atomic.set t.interrupted true
 
-let chunk = Bytes.create 65536
-
-(* Same per-connection bounds as the single-process transport (see
-   server.ml for the rationale). *)
+(* Per-connection buffer bounds: queue_cap backpressure caps queued
+   requests but not these buffers, so without limits one client
+   streaming newline-free bytes (inbuf) or submitting while never
+   reading responses (outbuf) could exhaust server memory. *)
 let max_line_bytes = 8 * 1024 * 1024
 let max_outbuf_bytes = 256 * 1024 * 1024
 
@@ -73,6 +80,8 @@ let push_raw c reply =
   Buffer.add_string c.c_outbuf reply;
   Buffer.add_char c.c_outbuf '\n';
   if Buffer.length c.c_outbuf > max_outbuf_bytes then begin
+    (* The peer is not reading its responses; drop it rather than
+       buffer without bound. *)
     Buffer.clear c.c_outbuf;
     c.c_eof <- true
   end
@@ -169,18 +178,6 @@ let fail_pend st token p =
 (* ---------------------------------------------------------------- *)
 (* Worker lifecycle                                                   *)
 
-let write_all fd data =
-  let len = String.length data in
-  let off = ref 0 in
-  (try Unix.clear_nonblock fd with Unix.Unix_error (_, _, _) -> ());
-  try
-    while !off < len do
-      let n = Unix.write_substring fd data !off (len - !off) in
-      if n <= 0 then raise Exit;
-      off := !off + n
-    done
-  with Exit | Unix.Unix_error (_, _, _) -> ()
-
 let reap ?(timeout_s = 5.0) pid =
   let deadline = Unix.gettimeofday () +. timeout_s in
   let kill_and_wait () =
@@ -241,7 +238,9 @@ let worker_died st ~listeners w =
         List.map (fun l -> l.Net.l_fd) listeners
         @ Hashtbl.fold (fun _ c acc -> c.c_fd :: acc) st.conns []
         @ Array.fold_left
-            (fun acc o -> if o.w_eof then acc else o.w_fd :: acc)
+            (fun acc -> function
+              | Forked o when not o.w_eof -> o.w_fd :: acc
+              | Forked _ | Local _ -> acc)
             [] st.workers
       in
       let fresh = Worker.spawn ~close_in_child ~engine:st.wcfg () in
@@ -252,100 +251,87 @@ let worker_died st ~listeners w =
     end
   end
 
-let send st wi token line =
-  let w = st.workers.(wi) in
-  if w.w_eof then
-    (* Only reachable when a worker is down for good (draining): answer
-       for it rather than leave the token dangling. *)
-    resolve st token
-      (Protocol.error ~id:Json.Null Protocol.Internal "worker unavailable")
-  else Buffer.add_string w.w_outbuf (Frame.encode (Frame.Query (token, line)))
+(* Hand a request to shard [wi] under [token].  The in-process engine
+   takes the parsed request; a forked worker gets the raw line, forced
+   only then. *)
+let send st wi token req line =
+  match st.workers.(wi) with
+  | Local e -> (
+      match Engine.admit e ~client:token req with
+      | `Queued -> ()
+      | `Reply r -> resolve st token r)
+  | Forked w when w.w_eof ->
+      (* Only reachable when a worker is down for good (draining): answer
+         for it rather than leave the token dangling. *)
+      resolve st token
+        (Protocol.error ~id:Json.Null Protocol.Internal "worker unavailable")
+  | Forked w ->
+      Buffer.add_string w.w_outbuf
+        (Frame.encode (Frame.Query (token, Lazy.force line)))
 
 let flush_worker st ~listeners w =
-  let data = Buffer.contents w.w_outbuf in
-  let len = String.length data in
-  if len > 0 then
-    match Unix.write_substring w.w_fd data 0 len with
-    | written ->
-        if written = len then Buffer.clear w.w_outbuf
-        else if written > 0 then begin
-          let rest = String.sub data written (len - written) in
-          Buffer.clear w.w_outbuf;
-          Buffer.add_string w.w_outbuf rest
-        end
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> worker_died st ~listeners w
+  if not (Worker.flush_some w.w_fd w.w_outbuf) then worker_died st ~listeners w
+
+exception Corrupt
 
 let read_worker st ~listeners w =
-  match Unix.read w.w_fd chunk 0 (Bytes.length chunk) with
-  | 0 -> worker_died st ~listeners w
-  | n -> (
-      Buffer.add_subbytes w.w_inbuf chunk 0 n;
-      let data = Buffer.contents w.w_inbuf in
-      let len = String.length data in
-      let start = ref 0 in
-      let corrupt = ref false in
-      (try
-         while not !corrupt do
-           let nl = String.index_from data !start '\n' in
-           let line = String.sub data !start (nl - !start) in
-           start := nl + 1;
-           if line <> "" then
-             match Frame.decode line with
-             | Ok (Frame.Answer (token, reply)) -> resolve st token reply
-             | Ok (Frame.Query _ | Frame.Stop) | Error _ ->
-                 (* Protocol corruption: answers can no longer be
-                    trusted to carry the right token.  Treat the worker
-                    as dead (its pendings fail, a fresh one spawns). *)
-                 corrupt := true
-         done
-       with Not_found -> ());
-      if !corrupt then begin
+  match Worker.read_some w.w_fd w.w_inbuf with
+  | `Again -> ()
+  | `Closed -> worker_died st ~listeners w
+  | `Data -> (
+      let answer line =
+        if line <> "" then
+          match Frame.decode line with
+          | Ok (Frame.Answer (token, reply)) -> resolve st token reply
+          | Ok (Frame.Query _ | Frame.Stop) | Error _ -> raise Corrupt
+      in
+      try Worker.split_lines w.w_inbuf answer
+      with Corrupt ->
+        (* Protocol corruption: answers can no longer be trusted to
+           carry the right token.  Treat the worker as dead (its
+           pendings fail, a fresh one spawns). *)
         (try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
-        worker_died st ~listeners w
-      end
-      else if !start > 0 then begin
-        let rest = String.sub data !start (len - !start) in
-        Buffer.clear w.w_inbuf;
-        Buffer.add_string w.w_inbuf rest
-      end)
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> worker_died st ~listeners w
+        worker_died st ~listeners w)
 
 (* ---------------------------------------------------------------- *)
 (* Admission and routing                                              *)
-
-let take_token st c =
-  let tok = st.next_token in
-  st.next_token <- tok + 1;
-  Queue.add tok c.c_order;
-  tok
 
 let fresh_token st =
   let tok = st.next_token in
   st.next_token <- tok + 1;
   tok
 
+(* A token with a place in the connection's reorder queue. *)
+let take_token st c =
+  let tok = fresh_token st in
+  Queue.add tok c.c_order;
+  tok
+
 let local c token reply =
   Hashtbl.replace c.c_ready token reply;
   release c
 
-let route st conn_id c id wi line =
-  let tok = take_token st c in
-  Hashtbl.replace st.pending tok (Direct { d_conn = conn_id; d_id = id; d_worker = wi });
-  send st wi tok line
+let shard st key = Shard.of_session ~workers:(Array.length st.workers) key
 
-(* Rebuild a gen/load_instance request with the front-minted session id
+let route st conn_id c wi (req : Protocol.request) line =
+  let tok = take_token st c in
+  Hashtbl.replace st.pending tok
+    (Direct { d_conn = conn_id; d_id = req.id; d_worker = wi });
+  send st wi tok req line
+
+(* A gen/load_instance request with the front-minted session id
    attached as the "_session" param.  Any "_session" the client sent is
    dropped first: external clients never choose their own ids. *)
-let rewrite_with_session (req : Protocol.request) sid =
+let with_session (req : Protocol.request) sid =
   let fields =
     match req.params with
     | Json.Obj l -> List.filter (fun (k, _) -> k <> "_session") l
     | _ -> []
   in
-  let params = Json.Obj (fields @ [ ("_session", Json.Str sid) ]) in
-  let base = [ ("id", req.id); ("method", Json.Str req.meth); ("params", params) ] in
+  { req with params = Json.Obj (fields @ [ ("_session", Json.Str sid) ]) }
+
+let to_line (req : Protocol.request) =
+  let base = [ ("id", req.id); ("method", Json.Str req.meth); ("params", req.params) ] in
   let base =
     match req.deadline_ms with
     | Some ms -> base @ [ ("deadline_ms", Json.Int ms) ]
@@ -357,8 +343,8 @@ let admit st conn_id c line =
   if String.trim line <> "" then
     match Protocol.parse_request line with
     | Error (id, code, msg) ->
-        (* Immediate rejections jump the reorder queue, exactly as the
-           engine's [`Reply] path does in the single-process server. *)
+        (* Malformed lines jump the reorder queue: they never got a
+           token. *)
         push_raw c (Protocol.error ~id code msg)
     | Ok req -> (
         if st.stopping then
@@ -377,9 +363,9 @@ let admit st conn_id c line =
                 (Protocol.ok ~id:req.id (Json.Obj [ ("stopping", Json.Bool true) ]))
           | "stats" -> (
               let alive =
-                Array.fold_left
-                  (fun acc w -> if w.w_eof then acc else w.w_index :: acc)
-                  [] st.workers
+                List.filter
+                  (fun wi -> match st.workers.(wi) with Forked w -> not w.w_eof | Local _ -> true)
+                  (List.init (Array.length st.workers) Fun.id)
               in
               let tok = take_token st c in
               match alive with
@@ -400,13 +386,13 @@ let admit st conn_id c line =
                     (fun wi ->
                       let wtok = fresh_token st in
                       Hashtbl.replace st.pending wtok (Part (f, wi));
-                      send st wi wtok line)
+                      send st wi wtok req (Lazy.from_val line))
                     alive)
           | "gen" | "load_instance" ->
               let sid = Shard.mint st.next_session in
               st.next_session <- st.next_session + 1;
-              let wi = Shard.of_session ~workers:(Array.length st.workers) sid in
-              route st conn_id c req.id wi (rewrite_with_session req sid)
+              let req = with_session req sid in
+              route st conn_id c (shard st sid) req (lazy (to_line req))
           | _ ->
               (* Sessionless or malformed-session requests all hash the
                  empty string — any single worker can answer bad_params /
@@ -416,67 +402,40 @@ let admit st conn_id c line =
                 | Some (Json.Str s) -> s
                 | _ -> ""
               in
-              let wi = Shard.of_session ~workers:(Array.length st.workers) key in
-              route st conn_id c req.id wi line)
+              route st conn_id c (shard st key) req (Lazy.from_val line))
 
 (* ---------------------------------------------------------------- *)
 (* Client IO                                                          *)
 
-let feed_lines st conn_id c =
-  let data = Buffer.contents c.c_inbuf in
-  let len = String.length data in
-  let start = ref 0 in
-  (try
-     while true do
-       let nl = String.index_from data !start '\n' in
-       let line = String.sub data !start (nl - !start) in
-       start := nl + 1;
-       admit st conn_id c line
-     done
-   with Not_found -> ());
-  if len - !start > max_line_bytes then begin
-    Buffer.clear c.c_inbuf;
-    push_raw c
-      (Protocol.error ~id:Json.Null Protocol.Bad_request
-         (Printf.sprintf "request line exceeds %d bytes" max_line_bytes));
-    c.c_eof <- true
-  end
-  else if !start > 0 then begin
-    let rest = String.sub data !start (len - !start) in
-    Buffer.clear c.c_inbuf;
-    Buffer.add_string c.c_inbuf rest
-  end
-
 let read_client st conn_id c =
-  match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
-  | 0 -> c.c_eof <- true
-  | n ->
-      Buffer.add_subbytes c.c_inbuf chunk 0 n;
-      feed_lines st conn_id c
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> c.c_eof <- true
+  match Worker.read_some c.c_fd c.c_inbuf with
+  | `Again -> ()
+  | `Closed -> c.c_eof <- true
+  | `Data ->
+      Worker.split_lines c.c_inbuf (admit st conn_id c);
+      if Buffer.length c.c_inbuf > max_line_bytes then begin
+        (* No newline within the limit: answer with a structured error
+           and close once it is flushed (eof stops further reads; sweep
+           reaps the connection when outbuf drains). *)
+        Buffer.clear c.c_inbuf;
+        push_raw c
+          (Protocol.error ~id:Json.Null Protocol.Bad_request
+             (Printf.sprintf "request line exceeds %d bytes" max_line_bytes));
+        c.c_eof <- true
+      end
 
 let write_client c =
-  let data = Buffer.contents c.c_outbuf in
-  let len = String.length data in
-  if len > 0 then
-    match Unix.write_substring c.c_fd data 0 len with
-    | written ->
-        if written = len then Buffer.clear c.c_outbuf
-        else if written > 0 then begin
-          let rest = String.sub data written (len - written) in
-          Buffer.clear c.c_outbuf;
-          Buffer.add_string c.c_outbuf rest
-        end
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) ->
-        Buffer.clear c.c_outbuf;
-        c.c_eof <- true
+  if not (Worker.flush_some c.c_fd c.c_outbuf) then begin
+    Buffer.clear c.c_outbuf;
+    c.c_eof <- true
+  end
 
 let close_conn st conn_id c =
   Hashtbl.remove st.conns conn_id;
   try Unix.close c.c_fd with Unix.Unix_error (_, _, _) -> ()
 
+(* A connection is dropped once the peer closed it and every pending
+   response has been flushed. *)
 let sweep st =
   let dead =
     Hashtbl.fold
@@ -508,7 +467,17 @@ let rec accept_loop st l =
       accept_loop st l
   | None -> ()
 
-let step st ~listeners ~timeout_ms =
+let local_pending st =
+  Array.fold_left
+    (fun acc -> function Local e -> acc + Engine.pending e | Forked _ -> acc)
+    0 st.workers
+
+(* One poll(2) wake-up: accept, read, route, run the in-process batch,
+   flush.  poll rather than select because "thousands of connections"
+   crosses FD_SETSIZE — select fails on any fd *number* >= 1024 no
+   matter how few fds are actually watched.  poll does not wait while
+   the in-process engine has queued work. *)
+let step st ~listeners =
   let slots = ref [] in
   List.iter (fun l -> slots := Slistener l :: !slots) listeners;
   Hashtbl.iter
@@ -516,7 +485,11 @@ let step st ~listeners ~timeout_ms =
       if (not c.c_eof) || Buffer.length c.c_outbuf > 0 then
         slots := Sclient (conn_id, c) :: !slots)
     st.conns;
-  Array.iter (fun w -> if not w.w_eof then slots := Sworker w :: !slots) st.workers;
+  Array.iter
+    (function
+      | Forked w when not w.w_eof -> slots := Sworker w :: !slots
+      | Forked _ | Local _ -> ())
+    st.workers;
   let slots = Array.of_list !slots in
   let n = Array.length slots in
   let fds =
@@ -537,6 +510,7 @@ let step st ~listeners ~timeout_ms =
       slots
   in
   let revents = Array.make n 0 in
+  let timeout_ms = if local_pending st > 0 then 0 else 50 in
   (match Poll.poll ~fds ~events ~revents ~n ~timeout_ms with
   | _ -> ()
   | exception Unix.Unix_error (_, _, _) -> ());
@@ -553,14 +527,15 @@ let step st ~listeners ~timeout_ms =
           else if r land Poll.pollin <> 0 then read_worker st ~listeners w
           else if r land Poll.pollerr <> 0 then worker_died st ~listeners w)
     slots;
-  (* Opportunistic flush: frames routed and responses released this
-     wake-up were not in anyone's pollout set. *)
+  (* Run the in-process batch, then flush opportunistically: frames
+     routed and responses released this wake-up were not in anyone's
+     pollout set. *)
   Array.iter
-    (fun w ->
-      if (not w.w_eof) && Buffer.length w.w_outbuf > 0 then
-        flush_worker st ~listeners w)
+    (function
+      | Local e -> List.iter (fun (tok, reply) -> resolve st tok reply) (Engine.run_batch e)
+      | Forked w -> if not w.w_eof then flush_worker st ~listeners w)
     st.workers;
-  Hashtbl.iter (fun _ c -> if Buffer.length c.c_outbuf > 0 then write_client c) st.conns;
+  Hashtbl.iter (fun _ c -> write_client c) st.conns;
   sweep st
 
 let stop_wanted st = Atomic.get st.interrupted || st.shutdown_req
@@ -571,28 +546,33 @@ let stop_wanted st = Atomic.get st.interrupted || st.shutdown_req
 let drain st listeners =
   st.stopping <- true;
   List.iter Net.close_listener listeners;
-  (* Resolve every outstanding token: workers keep executing and the
+  (* Resolve every outstanding token: backends keep executing and the
      loop keeps routing their answers; nothing new is admitted. *)
   let give_up = Unix.gettimeofday () +. 30.0 in
   while Hashtbl.length st.pending > 0 && Unix.gettimeofday () < give_up do
-    step st ~listeners:[] ~timeout_ms:50
+    step st ~listeners:[]
   done;
   if Hashtbl.length st.pending > 0 then begin
     let leftovers = Hashtbl.fold (fun tok p acc -> (tok, p) :: acc) st.pending [] in
     List.iter (fun (tok, p) -> fail_pend st tok p) leftovers
   end;
   (* Stop frames: each worker drains its engine, flushes, exits 0. *)
-  Array.iter
+  let forked =
+    List.filter_map
+      (function Forked w -> Some w | Local _ -> None)
+      (Array.to_list st.workers)
+  in
+  List.iter
     (fun w ->
       if not w.w_eof then begin
         Buffer.add_string w.w_outbuf (Frame.encode Frame.Stop);
-        write_all w.w_fd (Buffer.contents w.w_outbuf);
+        Worker.write_all w.w_fd (Buffer.contents w.w_outbuf);
         Buffer.clear w.w_outbuf;
         (try Unix.close w.w_fd with Unix.Unix_error (_, _, _) -> ());
         w.w_eof <- true
       end)
-    st.workers;
-  let statuses = Array.map (fun w -> (w, reap ~timeout_s:10.0 w.w_pid)) st.workers in
+    forked;
+  let statuses = List.map (fun w -> (w, reap ~timeout_s:10.0 w.w_pid)) forked in
   (* Flush released responses to clients (bounded budget), then close. *)
   let flush_deadline = Unix.gettimeofday () +. 5.0 in
   let rec flush_clients () =
@@ -626,7 +606,7 @@ let drain st listeners =
           Some
             (Printf.sprintf "worker %d (pid %d) %s" w.w_index w.w_pid
                (status_string status)))
-      (Array.to_list statuses)
+      statuses
   in
   let bad = st.bad_exits @ status_bad in
   if bad <> [] then failwith ("unclean worker exit: " ^ String.concat "; " bad)
@@ -634,10 +614,10 @@ let drain st listeners =
 (* ---------------------------------------------------------------- *)
 (* Entry point                                                        *)
 
-let with_signals st f =
+let with_signals interrupted f =
   let install s =
     match
-      Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set st.interrupted true))
+      Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set interrupted true))
     with
     | prev -> Some prev
     | exception (Invalid_argument _ | Sys_error _) -> None
@@ -661,36 +641,35 @@ let with_signals st f =
 
 let run ?on_ready ~engine ~workers listeners =
   if workers < 1 then invalid_arg "Front.run: workers must be >= 1";
+  let engine = { engine with Engine.assign_ids = true } in
   (* One engine per worker process: parallelism comes from the shards,
      so each worker defaults to a single-domain pool unless the caller
-     explicitly sizes within-worker jobs. *)
+     explicitly sizes within-worker jobs.  The in-process engine keeps
+     the caller's pool width. *)
   let wcfg =
-    {
-      engine with
-      Engine.assign_ids = true;
-      jobs = Some (max 1 (Option.value engine.Engine.jobs ~default:1));
-    }
+    { engine with jobs = Some (max 1 (Option.value engine.Engine.jobs ~default:1)) }
   in
   let listener_fds = List.map (fun l -> l.Net.l_fd) listeners in
   let ws =
-    let acc = ref [] in
-    for i = 0 to workers - 1 do
-      let close_in_child =
-        listener_fds @ List.map (fun w -> w.w_fd) !acc
-      in
-      let fresh = Worker.spawn ~close_in_child ~engine:wcfg () in
-      acc :=
-        {
-          w_index = i;
-          w_pid = fresh.Worker.w_pid;
-          w_fd = fresh.Worker.w_fd;
-          w_inbuf = Buffer.create 4096;
-          w_outbuf = Buffer.create 4096;
-          w_eof = false;
-        }
-        :: !acc
-    done;
-    Array.of_list (List.rev !acc)
+    if workers = 1 then [| Local (Engine.create engine) |]
+    else begin
+      let acc = ref [] in
+      for i = 0 to workers - 1 do
+        let close_in_child = listener_fds @ List.map (fun w -> w.w_fd) !acc in
+        let fresh = Worker.spawn ~close_in_child ~engine:wcfg () in
+        acc :=
+          {
+            w_index = i;
+            w_pid = fresh.Worker.w_pid;
+            w_fd = fresh.Worker.w_fd;
+            w_inbuf = Buffer.create 4096;
+            w_outbuf = Buffer.create 4096;
+            w_eof = false;
+          }
+          :: !acc
+      done;
+      Array.of_list (List.rev_map (fun w -> Forked w) !acc)
+    end
   in
   let st =
     {
@@ -708,9 +687,9 @@ let run ?on_ready ~engine ~workers listeners =
       shutdown_req = false;
     }
   in
-  with_signals st (fun () ->
+  with_signals st.interrupted (fun () ->
       Option.iter (fun f -> f st) on_ready;
       while not (stop_wanted st) do
-        step st ~listeners ~timeout_ms:50
+        step st ~listeners
       done;
       drain st listeners)

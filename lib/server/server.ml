@@ -1,269 +1,9 @@
-type mode = Listen of Net.listener list | Stdio
-
-(* One live connection: a read accumulator for partial lines and a
-   write buffer for responses not yet flushed (client fds are
-   non-blocking). *)
-type conn = {
-  fd : Unix.file_descr;
-  inbuf : Buffer.t;
-  outbuf : Buffer.t;
-  mutable eof : bool;
-}
-
-type st = {
-  engine : Engine.t;
-  conns : (int, conn) Hashtbl.t;
-  mutable next_client : int;
-  interrupted : bool Atomic.t;
-}
-
-let chunk = Bytes.create 65536
-
-(* Per-connection buffer bounds: queue_cap backpressure caps queued
-   requests but not these buffers, so without limits one client
-   streaming newline-free bytes (inbuf) or submitting while never
-   reading responses (outbuf) could exhaust server memory. *)
-let max_line_bytes = 8 * 1024 * 1024
-let max_outbuf_bytes = 256 * 1024 * 1024
-
-(* Split complete lines out of [c.inbuf] and admit each one; immediate
-   replies (parse errors, overload, ...) go straight to the write
-   buffer. *)
-let feed_lines st client c =
-  let data = Buffer.contents c.inbuf in
-  let len = String.length data in
-  let start = ref 0 in
-  (try
-     while true do
-       let nl = String.index_from data !start '\n' in
-       let line = String.sub data !start (nl - !start) in
-       start := nl + 1;
-       if String.trim line <> "" then
-         match Engine.submit st.engine ~client line with
-         | `Queued -> ()
-         | `Reply r ->
-             Buffer.add_string c.outbuf r;
-             Buffer.add_char c.outbuf '\n'
-     done
-   with Not_found -> ());
-  if len - !start > max_line_bytes then begin
-    (* No newline within the limit: answer with a structured error and
-       close once it is flushed (eof stops further reads; sweep reaps
-       the connection when outbuf drains). *)
-    Buffer.clear c.inbuf;
-    Buffer.add_string c.outbuf
-      (Protocol.error ~id:Bbc.Json.Null Protocol.Bad_request
-         (Printf.sprintf "request line exceeds %d bytes" max_line_bytes));
-    Buffer.add_char c.outbuf '\n';
-    c.eof <- true
-  end
-  else if !start > 0 then begin
-    let rest = String.sub data !start (len - !start) in
-    Buffer.clear c.inbuf;
-    Buffer.add_string c.inbuf rest
-  end
-
-let read_conn st client c =
-  match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-  | 0 -> c.eof <- true
-  | n ->
-      Buffer.add_subbytes c.inbuf chunk 0 n;
-      feed_lines st client c
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> c.eof <- true
-
-(* Flush as much of the write buffer as the socket accepts. *)
-let write_conn c =
-  let data = Buffer.contents c.outbuf in
-  let len = String.length data in
-  if len > 0 then begin
-    match Unix.write_substring c.fd data 0 len with
-    | written ->
-        if written > 0 && written < len then begin
-          let rest = String.sub data written (len - written) in
-          Buffer.clear c.outbuf;
-          Buffer.add_string c.outbuf rest
-        end
-        else if written = len then Buffer.clear c.outbuf
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) ->
-        Buffer.clear c.outbuf;
-        c.eof <- true
-  end
-
-let deliver st replies =
-  List.iter
-    (fun (client, reply) ->
-      match Hashtbl.find_opt st.conns client with
-      | None -> ()  (* client hung up before its response was ready *)
-      | Some c ->
-          Buffer.add_string c.outbuf reply;
-          Buffer.add_char c.outbuf '\n';
-          if Buffer.length c.outbuf > max_outbuf_bytes then begin
-            (* The peer is not reading its responses; drop it rather
-               than buffer without bound. *)
-            Buffer.clear c.outbuf;
-            c.eof <- true
-          end)
-    replies
-
-let close_conn st client c =
-  Hashtbl.remove st.conns client;
-  try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()
-
-(* A connection is dropped once the peer closed it and every pending
-   response has been flushed. *)
-let sweep st =
-  let dead =
-    Hashtbl.fold
-      (fun client c acc ->
-        if c.eof && Buffer.length c.outbuf = 0 then (client, c) :: acc else acc)
-      st.conns []
-  in
-  List.iter (fun (client, c) -> close_conn st client c) dead
-
-let stop_wanted st =
-  Atomic.get st.interrupted || Engine.shutdown_requested st.engine
-
-(* Graceful exit: admissions are already rejected ([begin_shutdown]);
-   execute everything admitted, then block until each response is on
-   the wire (bounded by a 5 s flush budget per the whole drain). *)
-let drain_and_flush st =
-  Engine.begin_shutdown st.engine;
-  deliver st (Engine.drain st.engine);
-  let give_up = Unix.gettimeofday () +. 5.0 in
-  let rec flush_all () =
-    let pending =
-      Hashtbl.fold
-        (fun _ c acc -> if Buffer.length c.outbuf > 0 && not c.eof then c :: acc else acc)
-        st.conns []
-    in
-    if pending <> [] && Unix.gettimeofday () < give_up then begin
-      List.iter write_conn pending;
-      let still =
-        List.exists (fun c -> Buffer.length c.outbuf > 0 && not c.eof) pending
-      in
-      if still then begin
-        (* Plain sleep between flush attempts: the fd set may be larger
-           than FD_SETSIZE, so waiting on writability via select is not
-           an option here. *)
-        (match Unix.select [] [] [] 0.05 with
-        | _ -> ()
-        | exception Unix.Unix_error (EINTR, _, _) -> ());
-        flush_all ()
-      end
-    end
-  in
-  flush_all ();
-  Hashtbl.iter (fun _ c -> try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()) st.conns;
-  Hashtbl.reset st.conns
-
-let with_signals st f =
-  let install s =
-    match Sys.signal s (Sys.Signal_handle (fun _ -> Atomic.set st.interrupted true)) with
-    | prev -> Some prev
-    | exception (Invalid_argument _ | Sys_error _) -> None
-  in
-  let pipe =
-    match Sys.signal Sys.sigpipe Sys.Signal_ignore with
-    | prev -> Some prev
-    | exception (Invalid_argument _ | Sys_error _) -> None
-  in
-  let old_int = install Sys.sigint and old_term = install Sys.sigterm in
-  Fun.protect f ~finally:(fun () ->
-      let restore s prev =
-        match prev with
-        | Some b -> ( try Sys.set_signal s b with Invalid_argument _ | Sys_error _ -> ())
-        | None -> ()
-      in
-      restore Sys.sigint old_int;
-      restore Sys.sigterm old_term;
-      restore Sys.sigpipe pipe)
-
-(* ---------------------------------------------------------------- *)
-(* Listen mode                                                       *)
-
-let rec accept_ready st l =
-  match Net.accept l with
-  | Some fd ->
-      let client = st.next_client in
-      st.next_client <- client + 1;
-      Hashtbl.replace st.conns client
-        { fd; inbuf = Buffer.create 256; outbuf = Buffer.create 256; eof = false };
-      accept_ready st l
-  | None -> ()
-
-type slot = Slistener of Net.listener | Sconn of int * conn
-
-(* One poll(2) wake-up: accept, read, run a batch, flush.  poll rather
-   than select because "thousands of connections" crosses FD_SETSIZE —
-   select fails on any fd *number* >= 1024 no matter how few fds are
-   actually watched. *)
-let iterate st listeners =
-  let slots = ref [] in
-  List.iter (fun l -> slots := Slistener l :: !slots) listeners;
-  Hashtbl.iter
-    (fun client c ->
-      if (not c.eof) || Buffer.length c.outbuf > 0 then
-        slots := Sconn (client, c) :: !slots)
-    st.conns;
-  let slots = Array.of_list !slots in
-  let n = Array.length slots in
-  let fds =
-    Array.map (function Slistener l -> l.Net.l_fd | Sconn (_, c) -> c.fd) slots
-  in
-  let events =
-    Array.map
-      (function
-        | Slistener _ -> Poll.pollin
-        | Sconn (_, c) ->
-            (if c.eof then 0 else Poll.pollin)
-            lor if Buffer.length c.outbuf > 0 then Poll.pollout else 0)
-      slots
-  in
-  let revents = Array.make n 0 in
-  let timeout_ms = if Engine.pending st.engine > 0 then 0 else 50 in
-  (match Poll.poll ~fds ~events ~revents ~n ~timeout_ms with
-  | _ -> ()
-  | exception Unix.Unix_error (_, _, _) -> ());
-  Array.iteri
-    (fun i s ->
-      let r = revents.(i) in
-      match s with
-      | Slistener l -> if r land Poll.pollin <> 0 then accept_ready st l
-      | Sconn (client, c) ->
-          if r land Poll.pollin <> 0 && not c.eof then read_conn st client c
-          else if r land Poll.pollerr <> 0 then c.eof <- true)
-    slots;
-  deliver st (Engine.run_batch st.engine);
-  (* Opportunistic flush: freshly-delivered responses were not in
-     anyone's pollout set for this wake-up, and sockets are
-     non-blocking anyway — EAGAIN just leaves the buffer for the next
-     pass. *)
-  Hashtbl.iter (fun _ c -> if Buffer.length c.outbuf > 0 then write_conn c) st.conns;
-  sweep st
-
-let run_listen ?on_ready st listeners =
-  Option.iter (fun f -> f ()) on_ready;
-  let rec loop () =
-    if stop_wanted st then ()
-    else begin
-      iterate st listeners;
-      loop ()
-    end
-  in
-  Fun.protect loop ~finally:(fun () ->
-      List.iter Net.close_listener listeners;
-      drain_and_flush st)
-
-(* ---------------------------------------------------------------- *)
-(* Stdio mode                                                        *)
-
-(* One implicit connection on stdin/stdout, used by the cram tests:
-   read until EOF (or an executed [shutdown]), answering each batch in
-   admission order, then drain and return. *)
-let run_stdio ?on_ready st =
-  Option.iter (fun f -> f ()) on_ready;
+(* One implicit connection on stdin/stdout: read until EOF (or an
+   executed [shutdown]), answering each batch in admission order, then
+   drain and return. *)
+let run ~engine () =
+  let engine = Engine.create engine in
+  let interrupted = Atomic.make false in
   let emit replies =
     List.iter
       (fun (_, reply) ->
@@ -272,34 +12,18 @@ let run_stdio ?on_ready st =
       replies;
     flush stdout
   in
-  let submit_line line =
-    if String.trim line <> "" then
-      match Engine.submit st.engine ~client:0 line with
-      | `Queued -> ()
-      | `Reply r -> emit [ (0, r) ]
-  in
-  (try
-     while not (stop_wanted st) do
-       match input_line stdin with
-       | line ->
-           submit_line line;
-           emit (Engine.run_batch st.engine)
-       | exception End_of_file -> raise Exit
-     done
-   with Exit -> ());
-  Engine.begin_shutdown st.engine;
-  emit (Engine.drain st.engine)
-
-let run ?on_ready ~engine mode =
-  let st =
-    {
-      engine = Engine.create engine;
-      conns = Hashtbl.create 16;
-      next_client = 1;
-      interrupted = Atomic.make false;
-    }
-  in
-  with_signals st (fun () ->
-      match mode with
-      | Listen listeners -> run_listen ?on_ready st listeners
-      | Stdio -> run_stdio ?on_ready st)
+  Front.with_signals interrupted (fun () ->
+      (try
+         while not (Atomic.get interrupted || Engine.shutdown_requested engine) do
+           match input_line stdin with
+           | line ->
+               (if String.trim line <> "" then
+                  match Engine.submit engine ~client:0 line with
+                  | `Queued -> ()
+                  | `Reply r -> emit [ (0, r) ]);
+               emit (Engine.run_batch engine)
+           | exception End_of_file -> raise Exit
+         done
+       with Exit -> ());
+      Engine.begin_shutdown engine;
+      emit (Engine.drain engine))

@@ -1,40 +1,14 @@
-(** Transport loop of [bbc serve]: a single-threaded poll(2) loop over
-    any number of listeners (Unix-domain and/or TCP — see {!Net}), or
-    stdin/stdout in {!Stdio} mode, that reads line-delimited requests,
-    admits them through {!Engine}, runs one batch per iteration, and
-    writes responses back in admission order.  (The multi-process
-    variant that shards sessions over worker processes is {!Front}.)
+(** The synchronous stdin/stdout driver of [bbc serve --stdio]: one
+    implicit connection, one {!Engine}, one batch per request line.
+    The cram tests drive the service through it, deterministically
+    under [--jobs 1].  Every socket and TCP listener is served by
+    {!Front} instead.
 
-    {1 Lifecycle}
+    EOF on stdin, an executed [shutdown] request or SIGINT/SIGTERM
+    (seen once the current line is answered) stops admissions; every
+    admitted request is executed and its response printed before
+    {!run} returns. *)
 
-    SIGINT/SIGTERM (or an executed [shutdown] request) flips the loop
-    into draining: the listeners close, new admissions are answered
-    [shutting_down], every already-admitted request is executed and its
-    response delivered, and {!run} returns — the caller then flushes
-    metrics/trace sinks and exits 0.  In {!Stdio} mode EOF on stdin
-    triggers the same drain.
-
-    The loop never blocks on computation: batches run on the
-    {!Bbc_parallel} pool via {!Engine.run_batch} between poll wake-ups,
-    so accepting and reading stay responsive while workers evaluate.
-    poll rather than select because select rejects any fd {e number}
-    at or above [FD_SETSIZE] (1024) — a wall the load generator's
-    "thousands of connections" target crosses immediately. *)
-
-type mode =
-  | Listen of Net.listener list
-      (** serve these already-bound listeners; {!run} takes over their
-          lifecycle and closes them on exit *)
-  | Stdio  (** one implicit connection on stdin/stdout (cram tests) *)
-
-val run : ?on_ready:(unit -> unit) -> engine:Engine.config -> mode -> unit
-(** Serve until shutdown; blocks.  [on_ready] fires once the transport
-    is accepting — used by the bench harness and scripts to sequence
-    the load generator (listeners are bound by the caller, so ephemeral
-    TCP ports are already resolved).  Signal handlers for SIGINT /
-    SIGTERM are installed for the duration of the call.
-
-    Per-connection buffers are bounded: a request line above 8 MiB is
-    answered with [bad_request] and the connection closed, and a client
-    that stops reading its responses is dropped once its pending output
-    passes 256 MiB. *)
+val run : engine:Engine.config -> unit -> unit
+(** Serve stdin/stdout until EOF or shutdown; blocks.  Session ids are
+    the engine's own (["s1"], ["s2"], ...). *)

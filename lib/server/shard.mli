@@ -19,6 +19,6 @@ val of_session : workers:int -> string -> int
     [workers < 1]. *)
 
 val mint : int -> string
-(** ["s<counter>"] — the session-id format shared with the
-    single-process engine, so clients observe the same namespace in
-    both modes. *)
+(** ["s<counter>"] — the session-id format the engine uses for its
+    own ids (under [--stdio]), so clients observe one namespace
+    everywhere. *)

@@ -1,6 +1,50 @@
 type t = { w_pid : int; w_fd : Unix.file_descr }
 
+(* ---------------------------------------------------------------- *)
+(* Line I/O on non-blocking descriptors (shared with the front)       *)
+
 let chunk = Bytes.create 65536
+
+let read_some fd buf =
+  match Unix.read fd chunk 0 (Bytes.length chunk) with
+  | 0 -> `Closed
+  | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      `Data
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> `Again
+  | exception Unix.Unix_error (_, _, _) -> `Closed
+
+let split_lines buf f =
+  let data = Buffer.contents buf in
+  let len = String.length data in
+  let rec go start =
+    match String.index_from_opt data start '\n' with
+    | Some nl ->
+        f (String.sub data start (nl - start));
+        go (nl + 1)
+    | None ->
+        if start > 0 then begin
+          Buffer.clear buf;
+          Buffer.add_substring buf data start (len - start)
+        end
+  in
+  go 0
+
+let flush_some fd buf =
+  let len = Buffer.length buf in
+  len = 0
+  ||
+  match Unix.write_substring fd (Buffer.contents buf) 0 len with
+  | written ->
+      if written = len then Buffer.clear buf
+      else if written > 0 then begin
+        let rest = Buffer.sub buf written (len - written) in
+        Buffer.clear buf;
+        Buffer.add_string buf rest
+      end;
+      true
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> true
+  | exception Unix.Unix_error (_, _, _) -> false
 
 (* Write everything, blocking: only used at drain time, when the loop
    is done and losing answers matters more than latency. *)
@@ -17,6 +61,9 @@ let write_all fd data =
   with
   | Exit -> ()
   | Unix.Unix_error (_, _, _) -> ()
+
+(* ---------------------------------------------------------------- *)
+(* The child                                                          *)
 
 let drain_and_exit engine fd outbuf =
   Engine.begin_shutdown engine;
@@ -51,59 +98,23 @@ let run ~engine fd =
              would misroute answers.  Drain what we have and exit. *)
           drain_and_exit engine fd outbuf
   in
-  let split_lines () =
-    let data = Buffer.contents inbuf in
-    let len = String.length data in
-    let start = ref 0 in
-    (try
-       while true do
-         let nl = String.index_from data !start '\n' in
-         let line = String.sub data !start (nl - !start) in
-         start := nl + 1;
-         handle_line line
-       done
-     with Not_found -> ());
-    if !start > 0 then begin
-      let rest = String.sub data !start (len - !start) in
-      Buffer.clear inbuf;
-      Buffer.add_string inbuf rest
-    end
-  in
-  let flush_some () =
-    let data = Buffer.contents outbuf in
-    let len = String.length data in
-    if len > 0 then
-      match Unix.write_substring fd data 0 len with
-      | written ->
-          if written = len then Buffer.clear outbuf
-          else if written > 0 then begin
-            let rest = String.sub data written (len - written) in
-            Buffer.clear outbuf;
-            Buffer.add_string outbuf rest
-          end
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) -> drain_and_exit engine fd outbuf
-  in
   let rec loop () =
     events.(0) <-
       (Poll.pollin lor if Buffer.length outbuf > 0 then Poll.pollout else 0);
     let timeout_ms = if Engine.pending engine > 0 then 0 else 50 in
     ignore (Poll.poll ~fds ~events ~revents ~n:1 ~timeout_ms);
     if revents.(0) land Poll.pollin <> 0 then begin
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> drain_and_exit engine fd outbuf (* front went away *)
-      | n ->
-          Buffer.add_subbytes inbuf chunk 0 n;
-          split_lines ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) -> drain_and_exit engine fd outbuf
+      match read_some fd inbuf with
+      | `Data -> split_lines inbuf handle_line
+      | `Again -> ()
+      | `Closed -> drain_and_exit engine fd outbuf (* front went away *)
     end
     else if revents.(0) land Poll.pollerr <> 0 then drain_and_exit engine fd outbuf;
     List.iter
       (fun (token, reply) ->
         Buffer.add_string outbuf (Frame.encode (Frame.Answer (token, reply))))
       (Engine.run_batch engine);
-    flush_some ();
+    if not (flush_some fd outbuf) then drain_and_exit engine fd outbuf;
     loop ()
   in
   (* Group signals (Ctrl-C on a terminal) must not kill workers before

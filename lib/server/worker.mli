@@ -34,3 +34,25 @@ val spawn : ?close_in_child:Unix.file_descr list -> engine:Engine.config -> unit
 val run : engine:Engine.config -> Unix.file_descr -> 'a
 (** The child-side loop, exposed for tests that drive a worker over a
     hand-made socketpair.  Never returns: exits the process. *)
+
+(** {1 Line I/O on non-blocking descriptors}
+
+    The one copy of the buffer plumbing every serving loop needs: the
+    worker's pipe end, and the front's client sockets and worker pipes. *)
+
+val read_some : Unix.file_descr -> Buffer.t -> [ `Data | `Again | `Closed ]
+(** One [read] appended to the buffer.  [`Again] on EAGAIN/EINTR;
+    [`Closed] on EOF or a hard error. *)
+
+val split_lines : Buffer.t -> (string -> unit) -> unit
+(** Hand each complete line (without its newline) to the callback, in
+    order, and keep only the unterminated tail in the buffer. *)
+
+val flush_some : Unix.file_descr -> Buffer.t -> bool
+(** Write as much of the buffer as the descriptor accepts now, keeping
+    the rest.  [false] on a hard error: the peer is gone. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Switch the descriptor to blocking and write everything, giving up
+    silently on error.  Drain-time only, when losing answers matters
+    more than latency. *)

@@ -1,9 +1,10 @@
-(* End-to-end tests of the sharded front tier (lib/server/front.ml):
-   a forked child runs [Front.run] with real worker processes while
-   this process talks to it over TCP.  The front is forked rather than
-   run in-process because [Front.run] forks workers, and fork is only
-   safe while the process owns no domains — a dedicated child keeps
-   that invariant independent of what the test runner does.
+(* End-to-end tests of the socket serving loop (lib/server/front.ml):
+   a forked child runs [Front.run] — with its in-process engine
+   ([workers = 1]) or with real worker processes — while this process
+   talks to it over TCP.  The front is forked rather than run
+   in-process because [Front.run] forks workers, and fork is only safe
+   while the process owns no domains — a dedicated child keeps that
+   invariant independent of what the test runner does.
 
    Session-to-worker affinity is proven behaviorally: session stores
    are per-worker, so if routing were ever inconsistent a follow-up
@@ -54,8 +55,10 @@ let start_front ~workers =
             Alcotest.fail "front child died before reporting worker pids"
       in
       close_in ic;
-      if List.length pids <> workers then
-        Alcotest.failf "expected %d worker pids, got %d" workers
+      (* The in-process backend forks nothing. *)
+      let expected = if workers = 1 then 0 else workers in
+      if List.length pids <> expected then
+        Alcotest.failf "expected %d worker pids, got %d" expected
           (List.length pids);
       { pid; endpoint = l.Net.l_endpoint; pids }
 
@@ -93,6 +96,11 @@ let with_front ~workers body =
   | exception e ->
       kill_front f;
       raise e
+
+(* The same test against the in-process backend and against two
+   forked workers. *)
+let both_backends body () =
+  List.iter (fun workers -> with_front ~workers body) [ 1; 2 ]
 
 (* ---------------------------------------------------------------- *)
 (* Blocking line-protocol client *)
@@ -228,9 +236,9 @@ let check_clean_exit f =
   | Unix.WSIGNALED s -> Alcotest.failf "front killed by signal %d" s
   | Unix.WSTOPPED _ -> Alcotest.fail "front stopped"
 
-(* A served shutdown request drains the workers and exits 0. *)
-let test_shutdown_request () =
-  with_front ~workers:2 (fun f ->
+(* A served shutdown request drains the backend and exits 0. *)
+let test_shutdown_request =
+  both_backends (fun f ->
       let c = connect f.endpoint in
       let sid = gen_session c () in
       ignore (ok_payload (cost c sid));
@@ -248,8 +256,8 @@ let test_shutdown_request () =
         f.pids)
 
 (* SIGTERM triggers the same graceful drain. *)
-let test_sigterm () =
-  with_front ~workers:2 (fun f ->
+let test_sigterm =
+  both_backends (fun f ->
       let c = connect f.endpoint in
       let sid = gen_session c () in
       ignore (ok_payload (cost c sid));
@@ -257,7 +265,57 @@ let test_sigterm () =
       Unix.kill f.pid Sys.sigterm;
       check_clean_exit f)
 
+let write_raw c s =
+  let b = Bytes.of_string s in
+  ignore (Unix.write c.fd b 0 (Bytes.length b))
+
+let response_id r =
+  match Json.member "id" (parse r) with
+  | Some (Json.Str id) -> id
+  | _ -> Alcotest.failf "response without a string id: %s" r
+
+(* Line framing on client sockets, for both backends: a request split
+   over several writes is answered once, two requests in one write are
+   answered in order (one routed to the backend, one answered at the
+   front), and a line that outgrows the 8 MiB bound without a newline
+   is answered bad_request before the connection closes. *)
+let test_framing =
+  both_backends (fun f ->
+      let c = connect f.endpoint in
+      let sid = gen_session c () in
+      Alcotest.(check string) "first minted id" "s0" sid;
+      let line = req "split" "cost" [ ("session", Json.Str sid) ] ^ "\n" in
+      let third = String.length line / 3 in
+      write_raw c (String.sub line 0 third);
+      Unix.sleepf 0.05;
+      write_raw c (String.sub line third third);
+      Unix.sleepf 0.05;
+      write_raw c (String.sub line (2 * third) (String.length line - (2 * third)));
+      let r = input_line c.ic in
+      Alcotest.(check string) "split request answered" "split" (response_id r);
+      ignore (ok_payload r);
+      write_raw c
+        (req "a" "cost" [ ("session", Json.Str sid) ] ^ "\n" ^ req "b" "ping" [] ^ "\n");
+      (* Had the split request been answered twice, its duplicate would
+         come first here. *)
+      let first = response_id (input_line c.ic) in
+      let second = response_id (input_line c.ic) in
+      Alcotest.(check (list string)) "two requests, one write" [ "a"; "b" ]
+        [ first; second ];
+      close_client c;
+      let c = connect f.endpoint in
+      (* Exactly one byte past the bound: the front has read everything
+         when it answers, so closing sends FIN, not RST. *)
+      write_raw c (String.make ((8 * 1024 * 1024) + 1) 'x');
+      Alcotest.(check string) "oversized line" "bad_request" (error_code (input_line c.ic));
+      (match input_line c.ic with
+      | r -> Alcotest.failf "connection still open after oversized line: %s" r
+      | exception End_of_file -> ());
+      close_client c)
+
 let () =
+  (* A front that closes early must fail a write, not kill the runner. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "bbc-front"
     [
       ( "front",
@@ -269,5 +327,6 @@ let () =
           Alcotest.test_case "graceful drain on shutdown request" `Quick
             test_shutdown_request;
           Alcotest.test_case "graceful drain on SIGTERM" `Quick test_sigterm;
+          Alcotest.test_case "line framing on client sockets" `Quick test_framing;
         ] );
     ]

@@ -47,6 +47,7 @@ let () =
       ("bigbench", Test_bigbench.suite);
       ("server", Test_server.suite);
       ("shard", Test_shard.suite);
+      ("frame", Test_frame.suite);
       ("fuzz", Test_fuzz.suite);
       ("campaign", Test_campaign.suite);
       ("experiments-registry", Test_experiments.suite);
