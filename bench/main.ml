@@ -94,7 +94,7 @@ let core_benchmarks () =
     ( "graph/scc (n=2000,k=3)",
       fun () -> ignore (Bbc_graph.Scc.compute (Lazy.force big_graph_fixture)) );
     ( "graph/bfs (n=2000,k=3)",
-      fun () -> ignore (Bbc_graph.Paths.bfs (Lazy.force big_graph_fixture) 0) );
+      fun () -> ignore (Bbc_fuzz.Reference.bfs (Lazy.force big_graph_fixture) 0) );
     ( "flow/min-cost unit flow (n=8)",
       fun () ->
         let inst, profile = Lazy.force fractional_fixture in
@@ -112,10 +112,10 @@ let ablation_benchmarks () =
         let inst, config = Lazy.force random_config_fixture in
         ignore (naive_best_response inst config 0) );
     ( "ablation/bfs on unit graph (n=2000)",
-      fun () -> ignore (Bbc_graph.Paths.bfs (Lazy.force big_graph_fixture) 0) );
+      fun () -> ignore (Bbc_fuzz.Reference.bfs (Lazy.force big_graph_fixture) 0) );
     ( "ablation/dijkstra on unit graph (n=2000)",
       fun () ->
-        ignore (Bbc_graph.Paths.dijkstra (Lazy.force big_graph_fixture) 0) );
+        ignore (Bbc_fuzz.Reference.dijkstra (Lazy.force big_graph_fixture) 0) );
     ( "ablation/stability early-exit, unstable start",
       fun () ->
         let inst, _ = Lazy.force random_config_fixture in
@@ -281,7 +281,8 @@ type kernel = {
    the pooled enumeration. *)
 let legacy_exact_cost instance config u =
   let module D = Bbc_graph.Digraph in
-  let module P = Bbc_graph.Paths in
+  let module P = Bbc_fuzz.Reference in
+  let unreachable = Bbc_graph.Paths.unreachable in
   let g = Bbc.Config.to_graph instance config in
   D.remove_out_edges g u;
   let n = Bbc.Instance.n instance in
@@ -299,14 +300,14 @@ let legacy_exact_cost instance config u =
     let d = Array.copy cur in
     let rv = row v in
     for x = 0 to n - 1 do
-      if rv.(x) <> P.unreachable then begin
+      if rv.(x) <> unreachable then begin
         let c = luv + rv.(x) in
         if c < d.(x) then d.(x) <- c
       end
     done;
     d
   in
-  let base = Array.make n P.unreachable in
+  let base = Array.make n unreachable in
   base.(u) <- 0;
   let candidates = Array.of_list (Bbc.Best_response.candidate_targets instance u) in
   let best = ref (Bbc.Eval.cost_of_distances instance u base) in
@@ -328,7 +329,7 @@ let legacy_exact_cost instance config u =
 let kernel_benchmarks () =
   let module Csr = Bbc_graph.Csr in
   let module W = Bbc_graph.Workspace in
-  let module P = Bbc_graph.Paths in
+  let module P = Bbc_fuzz.Reference in
   let g = Lazy.force big_graph_fixture in
   let csr = Csr.of_digraph g in
   (* Weighted variant of the same topology (lengths 1..4), so the
@@ -351,6 +352,12 @@ let kernel_benchmarks () =
     Csr.reset scratch row;
     W.release_clean ws row
   in
+  (* A fresh row from one sweep, for the differential bits. *)
+  let csr_row snapshot src =
+    let dist = Array.make (Csr.n snapshot) Csr.unreachable in
+    Csr.sssp snapshot (W.scratch (W.get ())) ~src ~dist;
+    dist
+  in
   let br_inst, br_cfg = Lazy.force random_config_fixture in
   let apsp_graph =
     Bbc_graph.Generators.random_k_out (Bbc_prng.Splitmix.create 7) ~n:256 ~k:3
@@ -367,11 +374,11 @@ let kernel_benchmarks () =
       ( "graph/bfs (n=2000,k=3)", 40,
         (fun () -> ignore (P.bfs g 0)),
         pooled_sweep csr,
-        fun () -> P.bfs g 0 = P.shortest_csr csr 0 );
+        fun () -> P.bfs g 0 = csr_row csr 0 );
       ( "graph/dijkstra (n=2000,k=3,weighted)", 40,
         (fun () -> ignore (P.dijkstra gw 0)),
         pooled_sweep csrw,
-        fun () -> P.dijkstra gw 0 = P.shortest_csr csrw 0 );
+        fun () -> P.dijkstra gw 0 = csr_row csrw 0 );
       ( "graph/apsp (n=256,k=3)", 3,
         (fun () -> ignore (Bbc_graph.Apsp.floyd_warshall apsp_graph)),
         (fun () -> ignore (Bbc_graph.Apsp.compute apsp_graph)),
@@ -1350,19 +1357,8 @@ let () =
             max 2 (Domain.recommended_domain_count ());
           ]
       in
-      (* The seq-vs-par section measures the domain pool, so the
-         incremental engine (sequential by construction) must stay out
-         of the exhaustive search's subtrees, which it would otherwise
-         take over. *)
       let speedups =
-        let was = Bbc.Incr.enabled () in
-        Bbc.Incr.set_enabled false;
-        Fun.protect
-          ~finally:(fun () -> Bbc.Incr.set_enabled was)
-          (fun () ->
-            List.concat_map
-              (fun par_jobs -> speedup_benchmarks ~par_jobs)
-              jobs_ablation)
+        List.concat_map (fun par_jobs -> speedup_benchmarks ~par_jobs) jobs_ablation
       in
       print_speedups speedups;
       let kernels = kernel_benchmarks () in

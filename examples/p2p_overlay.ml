@@ -19,7 +19,9 @@ let () =
   (* Design 1: the classic regular overlay with offsets {1, 5}. *)
   let regular = Bbc_group.Cayley.circulant ~n ~offsets:[ 1; 5 ] in
   let instance, config = Bbc.Cayley_game.to_game regular in
-  let diameter g = Option.value ~default:(-1) (Bbc_graph.Metrics.diameter g) in
+  let diameter g =
+    Option.value ~default:(-1) (Bbc_graph.Apsp.diameter (Bbc_graph.Apsp.compute g))
+  in
   Format.printf "regular overlay (circulant {1,5}):@.";
   Format.printf "  diameter %d, max-latency social cost %d@."
     (diameter (Bbc.Config.to_graph instance config))

@@ -191,7 +191,7 @@ let round_order scheduler rng n =
       order
   | Max_cost_first -> assert false
 
-let run ?objective ?(policy = Exact_best_response) ?on_step ?incremental ~scheduler
+let run ?objective ?(policy = Exact_best_response) ?on_step ?(incremental = true) ~scheduler
     ~max_rounds instance config0 =
   let n = Instance.n instance in
   Bbc_obs.with_span "dynamics.run"
@@ -211,7 +211,7 @@ let run ?objective ?(policy = Exact_best_response) ?on_step ?incremental ~schedu
        engine's sweet spot; skip the context rather than warm caches that
        the activations never read. *)
     | Sampled_best_response _ -> None
-    | _ -> if Incr.resolve incremental then Some (Incr.create instance config0) else None
+    | _ -> if incremental then Some (Incr.create instance config0) else None
   in
   let node_cost config node =
     match ctx with

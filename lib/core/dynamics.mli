@@ -75,8 +75,8 @@ val run :
   Instance.t ->
   Config.t ->
   outcome
-(** [policy] defaults to [Exact_best_response].  [incremental] (default:
-    {!Incr.enabled}) selects the evaluation engine: one {!Incr} context
+(** [policy] defaults to [Exact_best_response].  [incremental] (default
+    [true]) selects the evaluation engine: one {!Incr} context
     shared by every activation of the walk, or the from-scratch oracle.
     Both engines produce the same walk, step stream, and outcome. *)
 

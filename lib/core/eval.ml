@@ -91,12 +91,8 @@ let cost_of_distances32 ?(objective = Objective.Sum) instance u
       done;
       !acc
 
-let node_cost ?objective ?graph instance config u =
-  let g = match graph with Some g -> g | None -> Config.to_graph instance config in
-  cost_of_distances ?objective instance u (Paths.shortest g u)
-
 (* One SSSP per source: below this node count the pool fan-out costs
-   more than the row of BFS/Dijkstra runs it saves. *)
+   more than the row of CSR sweeps it saves. *)
 let parallel_threshold = 64
 
 (* [eval.sssp] counts single-source runs; the incr sits inside the pool
@@ -115,6 +111,9 @@ let csr_node_cost ?objective instance csr u =
   Bbc_graph.Csr.reset scratch row;
   Bbc_graph.Workspace.release_clean ws row;
   c
+
+let node_cost ?objective instance config u =
+  csr_node_cost ?objective instance (Config.to_csr instance config) u
 
 (* Costs of sources [lo, hi) under the shared snapshot, fed to [emit].
    Unit-length snapshots sweep up to [Csr.batch_width] sources per

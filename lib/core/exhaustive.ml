@@ -132,7 +132,6 @@ let search ?objective ?candidates ?(limit = 1) ?(max_profiles = 100_000_000) ?jo
     done;
     !acc >= limit
   in
-  let use_incr = Incr.enabled () in
   let run_prefix p =
     if Atomic.get over_budget || limit_reached_before p then Bbc_obs.incr obs_pruned
     else begin
@@ -157,12 +156,7 @@ let search ?objective ?candidates ?(limit = 1) ?(max_profiles = 100_000_000) ?jo
         end
         else begin
           incr examined;
-          let stable =
-            if use_incr then
-              Stability.is_stable ?objective ~ctx:(Lazy.force ctx) instance view
-            else Stability.is_stable ?objective instance view
-          in
-          if stable then begin
+          if Stability.is_stable ?objective ~ctx:(Lazy.force ctx) instance view then begin
             equilibria := Config.snapshot view :: !equilibria;
             incr mine;
             Atomic.incr found.(p);

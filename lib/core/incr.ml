@@ -2,19 +2,6 @@ module Incremental = Bbc_graph.Incremental
 module Paths = Bbc_graph.Paths
 
 (* ------------------------------------------------------------------ *)
-(* Global switch.                                                      *)
-
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "BBC_NO_INCREMENTAL" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
-
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
-let resolve = function Some b -> b | None -> !enabled_flag
-
-(* ------------------------------------------------------------------ *)
 (* Context.                                                            *)
 
 type mask = {

@@ -15,17 +15,10 @@
     preserved by the callers.  Contexts are single-domain mutable state
     — never share one across {!Bbc_parallel} workers.
 
-    The global {!enabled} switch (default on; [BBC_NO_INCREMENTAL=1] or
-    [--no-incremental] turn it off) selects the default engine in
-    {!Dynamics} and {!Stability}; the scratch path remains the
-    reference oracle. *)
-
-val enabled : unit -> bool
-val set_enabled : bool -> unit
-
-val resolve : bool option -> bool
-(** [resolve incremental] — an explicit argument wins, otherwise the
-    global switch. *)
+    Contexts are created by the callers that own a sequence of related
+    profiles: a {!Dynamics} walk, an {!Exhaustive} subtree, a server
+    session.  Context-free calls run the from-scratch pipeline, which
+    stays the reference oracle ([Dynamics.run ~incremental:false]). *)
 
 type ctx
 

@@ -9,9 +9,9 @@ let row p =
   let open Bbc.Willows in
   let instance, config = build p in
   let n = size p in
-  let g = Bbc.Config.to_graph instance config in
-  let diameter = Option.value ~default:(-1) (Bbc_graph.Metrics.diameter g) in
-  let radius = Option.value ~default:(-1) (Bbc_graph.Metrics.radius g) in
+  let apsp = Bbc_graph.Apsp.compute (Bbc.Config.to_graph instance config) in
+  let diameter = Option.value ~default:(-1) (Bbc_graph.Apsp.diameter apsp) in
+  let radius = Option.value ~default:(-1) (Bbc_graph.Apsp.radius apsp) in
   [
     Format.asprintf "%a" pp_params p;
     Table.cell_int n;

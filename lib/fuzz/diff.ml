@@ -6,8 +6,8 @@ module E = Bbc.Eval
 module BR = Bbc.Best_response
 module Json = Bbc.Json
 module Csr = Bbc_graph.Csr
-module P = Bbc_graph.Paths
 module Apsp = Bbc_graph.Apsp
+module R = Reference
 
 type options = { seed : int; count : int; max_shrink_steps : int }
 
@@ -71,17 +71,21 @@ let moves_to_string ms =
 
 let ic_csr = Domain_gen.instance_config ~max_n:10 ()
 
+(* A fresh distance row from one [Csr.sssp] sweep. *)
+let csr_row csr src =
+  let dist = Array.make (Csr.n csr) Csr.unreachable in
+  Csr.sssp csr (Csr.create_scratch ()) ~src ~dist;
+  dist
+
 let prop_paths_vs_csr (inst, cfg) =
   let g = C.to_graph inst cfg in
   let csr = C.to_csr inst cfg in
   check_all
     (fun src ->
-      let ref_row = P.shortest g src in
-      let csr_row = P.shortest_csr csr src in
-      match array_mismatch ref_row csr_row with
+      match array_mismatch (R.shortest g src) (csr_row csr src) with
       | None -> ok
       | Some v ->
-          failf "src %d: Paths.shortest and CSR sweep disagree at node %d" src v)
+          failf "src %d: reference shortest and CSR sweep disagree at node %d" src v)
     (nodes inst)
 
 let prop_apsp_vs_floyd (inst, cfg) =
@@ -110,7 +114,7 @@ let prop_ban_vs_skip (inst, cfg) =
           Csr.sssp ~ban:u full scratch ~src ~dist;
           let banned = Array.copy dist in
           Csr.reset scratch dist;
-          let reference = P.shortest_csr skipped src in
+          let reference = csr_row skipped src in
           match array_mismatch banned reference with
           | None -> ok
           | Some v ->
@@ -126,7 +130,7 @@ let prop_int32_rows (inst, cfg) =
   let dist32 = Csr.create_dist32 n in
   check_all
     (fun src ->
-      let reference = P.shortest_csr csr src in
+      let reference = csr_row csr src in
       Csr.sssp32 csr scratch ~src ~dist:dist32 ;
       let r =
         check_all
@@ -162,8 +166,7 @@ let csr_suite =
 
 let ic_msbfs = Domain_gen.instance_config ~max_n:70 ()
 
-let scalar_reference csr srcs =
-  Array.map (fun src -> P.shortest_csr csr src) srcs
+let scalar_reference csr srcs = Array.map (csr_row csr) srcs
 
 let check_rows ~what srcs reference rows =
   let r = ref ok in
@@ -356,7 +359,7 @@ let prop_masked_roundtrip (inst, cfg0, ms) =
             check_all
               (fun src ->
                 let masked = Bbc.Incr.masked_row ctx src in
-                let reference = P.shortest_csr skipped src in
+                let reference = csr_row skipped src in
                 match array_mismatch masked reference with
                 | None -> ok
                 | Some v ->
@@ -404,7 +407,8 @@ let incr_suite =
   ]
 
 (* ---------------------------------------------------------------- *)
-(* Suite br: exact best response vs exhaustive enumeration.          *)
+(* Suite br: exact best response vs exhaustive enumeration, costed on
+   the list-graph reference so the CSR kernels are not their own oracle. *)
 
 let ic_tiny = Domain_gen.instance_config ~max_n:6 ()
 
@@ -415,14 +419,14 @@ let prop_br_vs_exhaustive (inst, cfg) =
       let brute =
         List.fold_left
           (fun acc s ->
-            min acc (E.node_cost inst (C.with_strategy cfg u s) u))
+            min acc (R.node_cost inst (C.with_strategy cfg u s) u))
           max_int
           (Bbc.Exhaustive.all_strategies inst u)
       in
       if r.BR.cost <> brute then
         failf "node %d: exact says %d, exhaustive says %d" u r.BR.cost brute
       else
-        let realized = E.node_cost inst (C.with_strategy cfg u r.BR.strategy) u in
+        let realized = R.node_cost inst (C.with_strategy cfg u r.BR.strategy) u in
         if realized <> r.BR.cost then
           failf "node %d: reported strategy realizes %d, not %d" u realized
             r.BR.cost
@@ -451,11 +455,11 @@ let prop_br_variants (inst, cfg) =
 let prop_improving_iff (inst, cfg) =
   check_all
     (fun u ->
-      let current = E.node_cost inst cfg u in
+      let current = R.node_cost inst cfg u in
       let brute_best =
         List.fold_left
           (fun acc s ->
-            min acc (E.node_cost inst (C.with_strategy cfg u s) u))
+            min acc (R.node_cost inst (C.with_strategy cfg u s) u))
           max_int
           (Bbc.Exhaustive.all_strategies inst u)
       in
@@ -495,8 +499,9 @@ let icp =
   (inst, cfg, ops)
 
 (* The mirror replicates a session's walk counters with from-scratch
-   engines only; the server side runs its incremental context, so every
-   comparison crosses the engine boundary too. *)
+   engines only (costs from the list-graph reference); the server side
+   runs its incremental context, so every comparison crosses the engine
+   boundary too. *)
 type mirror = {
   inst : I.t;
   mutable cfg : C.t;
@@ -505,7 +510,7 @@ type mirror = {
   mutable walk_deviations : int;
 }
 
-let mirror_node_cost m u = E.node_cost m.inst m.cfg u
+let mirror_node_cost m u = R.node_cost m.inst m.cfg u
 
 let mirror_walk_step m =
   let n = I.n m.inst in
@@ -688,7 +693,7 @@ let server_suite =
 let broken_social_cost inst cfg =
   let total = ref 0 in
   for u = 1 to I.n inst - 1 do
-    total := !total + E.node_cost inst cfg u
+    total := !total + R.node_cost inst cfg u
   done;
   !total
 

@@ -6,9 +6,9 @@
     instance/configuration (printable as [bbc convert]-loadable JSON).
 
     Engine pairs covered:
-    - [csr] — list-graph reference ([Paths], [Apsp.floyd_warshall])
-      vs flat CSR kernels, including [~ban:u] vs [~skip:u] snapshots
-      and int32 vs int rows;
+    - [csr] — list-graph reference ({!Reference},
+      [Apsp.floyd_warshall]) vs flat CSR kernels, including [~ban:u] vs
+      [~skip:u] snapshots and int32 vs int rows;
     - [msbfs] — bit-parallel [Csr.sssp_batch]/[sssp_batch32] vs
       per-source sweeps on instances crossing the [Csr.batch_width]
       window boundary (ragged tails, [~ban], shuffled/duplicated
@@ -17,7 +17,8 @@
       move sequences, with [with_masked] exact-undo round-trips and
       incremental-vs-parallel [Stability];
     - [br] — [Best_response.exact] (and its [?csr]/[?ctx] variants)
-      vs exhaustive strategy enumeration on tiny instances;
+      vs exhaustive strategy enumeration on tiny instances, each
+      strategy costed by the list-graph {!Reference.node_cost};
     - [server] — in-process [Bbc_server.Engine] request streams vs
       direct scratch-engine calls on a mirrored session;
     - [campaign] — {!Bbc_campaign.Spec} / {!Bbc.Trial} JSON codecs

@@ -96,3 +96,17 @@ let diameter t =
     done;
     if !ok then Some !best else None
   end
+
+let radius t =
+  let n = Array.length t.dist in
+  if n <= 1 then Some 0
+  else begin
+    let best = ref None in
+    for v = 0 to n - 1 do
+      match (eccentricity t v, !best) with
+      | Some e, Some b when e >= b -> ()
+      | Some e, _ -> best := Some e
+      | None, _ -> ()
+    done;
+    !best
+  end

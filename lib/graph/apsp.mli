@@ -6,8 +6,10 @@
     pool, so the only allocation is the result matrix.  The classic
     Floyd–Warshall is kept as {!floyd_warshall}: O(n^3) but structurally
     independent of the SSSP kernels, which makes it the oracle the test
-    suite cross-checks {!compute}, {!Paths.dijkstra} and the CSR kernels
-    against. *)
+    suite cross-checks {!compute} and the CSR kernels against.
+
+    The eccentricity folds ({!eccentricity}, {!diameter}, {!radius})
+    read a computed matrix, so one {!compute} serves all three. *)
 
 type t
 
@@ -27,7 +29,14 @@ val matrix : t -> int array array
 (** The full distance matrix (not a copy; treat as read-only). *)
 
 val eccentricity : t -> int -> int option
-(** Max distance from a vertex; [None] if it does not reach everyone. *)
+(** Max distance from a vertex to any other; [None] if it does not reach
+    everyone. *)
 
 val diameter : t -> int option
-(** [None] unless the graph is strongly connected. *)
+(** Max over vertices of {!eccentricity}; [None] unless the graph is
+    strongly connected.  [Some 0] on graphs with at most one vertex. *)
+
+val radius : t -> int option
+(** Min of {!eccentricity} over the vertices that reach all others;
+    [None] if no vertex does.  [Some 0] on graphs with at most one
+    vertex. *)

@@ -30,7 +30,7 @@
 type t
 
 val unreachable : int
-(** Sentinel distance ([max_int]), same value as [Paths.unreachable]. *)
+(** Sentinel distance ([max_int]), same value as {!Paths.unreachable}. *)
 
 val n : t -> int
 val edge_count : t -> int
@@ -87,8 +87,8 @@ val dijkstra : ?ban:int -> t -> scratch -> src:int -> dist:int array -> unit
     [ban] as in {!bfs}. *)
 
 val sssp : ?ban:int -> t -> scratch -> src:int -> dist:int array -> unit
-(** {!bfs} when {!unit_lengths}, {!dijkstra} otherwise — the CSR
-    counterpart of [Paths.shortest]. *)
+(** {!bfs} when {!unit_lengths}, {!dijkstra} otherwise — the one
+    production single-source shortest-path entry point. *)
 
 val reset : scratch -> int array -> unit
 (** Restore a distance buffer to all-{!unreachable} by clearing exactly

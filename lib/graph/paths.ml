@@ -1,89 +1,1 @@
 let unreachable = max_int
-
-let bfs g src =
-  let n = Digraph.n g in
-  let dist = Array.make n unreachable in
-  let queue = Queue.create () in
-  dist.(src) <- 0;
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.take queue in
-    let du = dist.(u) in
-    Digraph.iter_out g u (fun v _len ->
-        if dist.(v) = unreachable then begin
-          dist.(v) <- du + 1;
-          Queue.add v queue
-        end)
-  done;
-  dist
-
-let dijkstra g src =
-  let n = Digraph.n g in
-  let dist = Array.make n unreachable in
-  let heap = Binary_heap.create ~capacity:n () in
-  dist.(src) <- 0;
-  Binary_heap.push heap 0 src;
-  let rec drain () =
-    match Binary_heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-        (* Lazy deletion: skip entries that were superseded. *)
-        if d = dist.(u) then
-          Digraph.iter_out g u (fun v len ->
-              let nd = d + len in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                Binary_heap.push heap nd v
-              end);
-        drain ()
-  in
-  drain ();
-  dist
-
-let all_unit_lengths = Digraph.all_unit_lengths
-
-let shortest_csr csr src =
-  let ws = Workspace.get () in
-  let dist = Array.make (Csr.n csr) unreachable in
-  Csr.sssp csr (Workspace.scratch ws) ~src ~dist;
-  dist
-
-(* Below this vertex count the one-shot CSR conversion costs about as
-   much as it saves; repeated-sweep callers (best response, APSP, eval)
-   hold a [Csr.t] directly instead of paying the conversion per query. *)
-let csr_threshold = 256
-
-let shortest g src =
-  if Digraph.n g >= csr_threshold then shortest_csr (Csr.of_digraph g) src
-  else if all_unit_lengths g then bfs g src
-  else dijkstra g src
-
-let distance g u v = (shortest g u).(v)
-
-let path g u v =
-  let n = Digraph.n g in
-  let dist = Array.make n unreachable in
-  let parent = Array.make n (-1) in
-  let heap = Binary_heap.create ~capacity:n () in
-  dist.(u) <- 0;
-  Binary_heap.push heap 0 u;
-  let rec drain () =
-    match Binary_heap.pop heap with
-    | None -> ()
-    | Some (d, x) ->
-        if d = dist.(x) then
-          Digraph.iter_out g x (fun y len ->
-              let nd = d + len in
-              if nd < dist.(y) then begin
-                dist.(y) <- nd;
-                parent.(y) <- x;
-                Binary_heap.push heap nd y
-              end);
-        drain ()
-  in
-  drain ();
-  if dist.(v) = unreachable then None
-  else begin
-    let rec build acc x = if x = u then u :: acc else build (x :: acc) parent.(x) in
-    Some (build [] v)
-  end

@@ -1,44 +1,9 @@
-(** Single-source shortest paths.
+(** The shortest-path distance sentinel.
 
-    Distances are returned as an [int array] indexed by vertex, with
-    [unreachable] (= [max_int]) marking vertices with no path from the
-    source.  The BBC cost model replaces [unreachable] by the disconnection
-    penalty [M] at a higher layer. *)
+    Distance rows — {!Csr} sweeps, {!Apsp} matrices, {!Incremental}
+    trees — are [int array]s indexed by vertex, with [unreachable]
+    marking vertices with no path from the source.  The BBC cost model
+    replaces it by the disconnection penalty [M] at a higher layer. *)
 
 val unreachable : int
 (** Sentinel distance ([max_int]) for vertices with no path. *)
-
-val bfs : Digraph.t -> int -> int array
-(** [bfs g src] is the array of hop-count distances from [src], ignoring
-    edge lengths (every edge counts 1).  Exact for uniform games. *)
-
-val dijkstra : Digraph.t -> int -> int array
-(** [dijkstra g src] is the array of length-weighted distances from [src].
-    Edge lengths must be non-negative (enforced by {!Digraph.add_edge}). *)
-
-val shortest : Digraph.t -> int -> int array
-(** [shortest g src] dispatches to {!bfs} when every edge of [g] has length
-    1, to {!dijkstra} otherwise.  Large graphs take a CSR fast path: one
-    {!Csr.of_digraph} snapshot, then a flat-array sweep through this
-    domain's pooled {!Workspace} scratch.  Distances are identical on
-    every path. *)
-
-val shortest_csr : Csr.t -> int -> int array
-(** [shortest_csr csr src] is a fresh distance row computed by the CSR
-    kernel ({!Csr.sssp}) with this domain's pooled scratch.  Callers
-    running many sweeps over one graph should prefer this (build the
-    snapshot once) over repeated {!shortest} calls. *)
-
-val all_unit_lengths : Digraph.t -> bool
-(** Whether every edge of the graph has length 1.  O(1): the graph keeps
-    a non-unit edge count up to date (see {!Digraph.all_unit_lengths}),
-    so the BFS/Dijkstra dispatch in {!shortest} no longer rescans the
-    whole edge set on every call. *)
-
-val distance : Digraph.t -> int -> int -> int
-(** [distance g u v] is the shortest-path distance from [u] to [v]
-    ([unreachable] if there is no path). *)
-
-val path : Digraph.t -> int -> int -> int list option
-(** [path g u v] is a shortest path [u; ...; v] as a vertex list, or [None]
-    if [v] is unreachable from [u]. *)

@@ -1,6 +1,7 @@
 module Config = Bbc.Config
 module Digraph = Bbc_graph.Digraph
-module Paths = Bbc_graph.Paths
+module Csr = Bbc_graph.Csr
+module Workspace = Bbc_graph.Workspace
 
 type t = { n : int; alpha : int; penalty : int }
 
@@ -10,7 +11,8 @@ let create ?penalty ~n ~alpha () =
   let penalty = Option.value ~default:(4 * n * (alpha + 1)) penalty in
   { n; alpha; penalty }
 
-(* The undirected realization: both directions for every bought link. *)
+(* The undirected realization as a CSR snapshot: both directions for
+   every bought link (a link bought by both endpoints appears once). *)
 let undirected_graph t config =
   let g = Digraph.create t.n in
   for u = 0 to t.n - 1 do
@@ -20,15 +22,22 @@ let undirected_graph t config =
         Digraph.add_edge g v u 1)
       (Config.targets config u)
   done;
-  g
+  Csr.of_digraph g
 
-let node_cost_on t config graph u =
-  let dist = Paths.bfs graph u in
+(* One pooled hop-count sweep from [u], folded, then undone with the
+   O(visited) reset. *)
+let node_cost_on t config csr u =
+  let ws = Workspace.get () in
+  let scratch = Workspace.scratch ws in
+  let dist = Workspace.acquire ws t.n in
+  Csr.sssp csr scratch ~src:u ~dist;
   let total = ref (t.alpha * Config.strategy_size config u) in
   for v = 0 to t.n - 1 do
     if v <> u then
-      total := !total + (if dist.(v) = Paths.unreachable then t.penalty else dist.(v))
+      total := !total + (if dist.(v) = Csr.unreachable then t.penalty else dist.(v))
   done;
+  Csr.reset scratch dist;
+  Workspace.release_clean ws dist;
   !total
 
 let node_cost t config u = node_cost_on t config (undirected_graph t config) u

@@ -2,7 +2,7 @@ type t = {
   id : string;
   instance : Bbc.Instance.t;
   mutable config : Bbc.Config.t;
-  ctx : Bbc.Incr.ctx option;
+  ctx : Bbc.Incr.ctx;
   mutable walk_index : int;
   mutable walk_deviations : int;
   mutable walk_quiet : int;
@@ -11,17 +11,10 @@ type t = {
 
 let set_config s config =
   s.config <- config;
-  Option.iter (fun ctx -> Bbc.Incr.ensure ctx config) s.ctx
+  Bbc.Incr.ensure s.ctx config
 
-let node_cost ?objective s u =
-  match s.ctx with
-  | Some ctx -> Bbc.Incr.node_cost ?objective ctx u
-  | None -> Bbc.Eval.node_cost ?objective s.instance s.config u
-
-let all_costs ?objective s =
-  match s.ctx with
-  | Some ctx -> Bbc.Incr.all_costs ?objective ctx
-  | None -> Bbc.Eval.all_costs ?objective s.instance s.config
+let node_cost ?objective s u = Bbc.Incr.node_cost ?objective s.ctx u
+let all_costs ?objective s = Bbc.Incr.all_costs ?objective s.ctx
 
 (* The table and id counter are shared mutable state touched from pool
    workers (gen / load_instance / close_session run as independent
@@ -108,7 +101,7 @@ let add ?id store ~now_ns instance config =
          it outside the lock so concurrent adds don't serialize on it. *)
       let ctx =
         try
-          if Bbc.Incr.enabled () then Some (Bbc.Incr.create instance config) else None
+          Bbc.Incr.create instance config
         with e ->
           locked store (fun () -> store.reserved <- store.reserved - 1);
           raise e

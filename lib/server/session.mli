@@ -1,11 +1,10 @@
 (** Server-side session store.
 
     A session owns one loaded/generated instance, its current
-    configuration, and — when the incremental engine is enabled — a
-    persistent {!Bbc.Incr} evaluation context, so repeated [cost] /
-    [best_response] / [stable] / [step_dynamics] requests against the
-    same session hit the version-counter caches instead of recomputing
-    shortest paths from scratch.
+    configuration, and a persistent {!Bbc.Incr} evaluation context, so
+    repeated [cost] / [best_response] / [stable] / [step_dynamics]
+    requests against the same session hit the version-counter caches
+    instead of recomputing shortest paths from scratch.
 
     Contexts are single-domain mutable state; the scheduler therefore
     serializes all requests that name the same session onto one worker
@@ -22,8 +21,7 @@ type t = {
   id : string;  (** ["s1"], ["s2"], … — deterministic creation order *)
   instance : Bbc.Instance.t;
   mutable config : Bbc.Config.t;
-  ctx : Bbc.Incr.ctx option;
-      (** [None] iff the incremental engine was disabled at creation. *)
+  ctx : Bbc.Incr.ctx;
   mutable walk_index : int;  (** round-robin activations performed *)
   mutable walk_deviations : int;
   mutable walk_quiet : int;  (** trailing activations without a move *)
@@ -35,8 +33,7 @@ val set_config : t -> Bbc.Config.t -> unit
     via [Incr.ensure]). *)
 
 val node_cost : ?objective:Bbc.Objective.t -> t -> int -> int
-(** Cached when a context is present, from-scratch otherwise —
-    bit-identical either way. *)
+(** The context's cached cost ({!Bbc.Incr.node_cost}). *)
 
 val all_costs : ?objective:Bbc.Objective.t -> t -> int array
 
@@ -55,8 +52,7 @@ val add :
   Bbc.Instance.t ->
   Bbc.Config.t ->
   (t, string) result
-(** Mint a fresh session (owning a new context when the incremental
-    engine is enabled).  When the store is full, sessions idle longer
+(** Mint a fresh session owning a new context.  When the store is full, sessions idle longer
     than the TTL (by [last_used_ns]) are evicted first; [Error] only if
     the store is still at capacity afterwards, so abandoned sessions
     cannot exhaust the budget forever.

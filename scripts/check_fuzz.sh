@@ -1,7 +1,7 @@
 #!/bin/sh
 # Differential-fuzzing gate (DESIGN.md section 12), two halves:
 #
-#   1. The real suites — every engine pair (Paths/Apsp vs CSR kernels,
+#   1. The real suites — every engine pair (Reference/Apsp vs CSR kernels,
 #      scratch Eval vs Incr contexts under delta sequences, exact best
 #      response vs exhaustive, in-process server vs direct calls) —
 #      must report zero mismatches under a fixed seed and budget.

@@ -2,14 +2,15 @@ module I = Bbc.Instance
 module C = Bbc.Config
 module E = Bbc.Eval
 module BR = Bbc.Best_response
+module Ref = Bbc_fuzz.Reference
 
 (* Reference implementation: enumerate all feasible strategies and
-   evaluate each by rebuilding the graph.  Quadratically slower than the
+   evaluate each on the list-graph reference.  Quadratically slower than the
    production d_{-u} decomposition; used to cross-check it. *)
 let naive_best ?objective instance config u =
   List.fold_left
     (fun (best_s, best_c) s ->
-      let c = E.node_cost ?objective instance (C.with_strategy config u s) u in
+      let c = Ref.node_cost ?objective instance (C.with_strategy config u s) u in
       if c < best_c then (s, c) else (best_s, best_c))
     ([], max_int)
     (Bbc.Exhaustive.all_strategies instance u)
@@ -96,7 +97,7 @@ let test_exact_cost_is_achieved () =
     let c = C.of_graph (Bbc_graph.Generators.random_k_out rng ~n ~k:2) in
     let u = Bbc_prng.Splitmix.int rng n in
     let r = BR.exact inst c u in
-    let realized = E.node_cost inst (C.with_strategy c u r.strategy) u in
+    let realized = Ref.node_cost inst (C.with_strategy c u r.strategy) u in
     Alcotest.(check int) "reported = realized" r.cost realized
   done
 
@@ -114,7 +115,7 @@ let test_improving_finds_strict () =
   match BR.improving inst c 0 with
   | Some r ->
       Alcotest.(check bool) "strictly better" true
-        (r.cost < E.node_cost inst c 0)
+        (r.cost < Ref.node_cost inst c 0)
   | None -> Alcotest.fail "node 0 should improve from the empty strategy"
 
 let test_budget_respected () =
@@ -138,7 +139,7 @@ let test_greedy_reasonable () =
     let e = BR.exact inst c u in
     Alcotest.(check bool) "greedy >= exact" true (g.cost >= e.cost);
     Alcotest.(check bool) "greedy is realizable" true
-      (g.cost = E.node_cost inst (C.with_strategy c u g.strategy) u)
+      (g.cost = Ref.node_cost inst (C.with_strategy c u g.strategy) u)
   done
 
 let suite =
@@ -173,7 +174,7 @@ let test_all_best () =
       (fun (r : BR.result) ->
         Alcotest.(check int) "same optimal cost" e.cost r.cost;
         Alcotest.(check int) "realized" r.cost
-          (E.node_cost inst (C.with_strategy c u r.strategy) u))
+          (Ref.node_cost inst (C.with_strategy c u r.strategy) u))
       all;
     Alcotest.(check int) "no duplicates" (List.length all)
       (List.length (List.sort_uniq compare (List.map (fun (r : BR.result) -> r.strategy) all)))

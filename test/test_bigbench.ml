@@ -263,7 +263,7 @@ let test_sampled_br_improving_only () =
           let csr = Config.to_csr inst config in
           let rng = SM.create (seed + 17) in
           for u = 0 to min 14 (Instance.n inst - 1) do
-            let current = Eval.node_cost inst config u in
+            let current = Bbc_fuzz.Reference.node_cost inst config u in
             match Best_response.sampled ~csr ~rng ~sample:3 inst config u with
             | None -> ()
             | Some r ->
@@ -274,7 +274,7 @@ let test_sampled_br_improving_only () =
                 let adopted = Config.with_strategy config u r.strategy in
                 Alcotest.(check int)
                   (Printf.sprintf "%s node %d: reported cost is exact" name u)
-                  (Eval.node_cost inst adopted u)
+                  (Bbc_fuzz.Reference.node_cost inst adopted u)
                   r.cost
           done)
         grid)
@@ -285,7 +285,7 @@ let test_sampled_br_full_sample_is_exact () =
   let csr = Config.to_csr inst config in
   for u = 0 to 23 do
     let exact = Best_response.exact inst config u in
-    let current = Eval.node_cost inst config u in
+    let current = Bbc_fuzz.Reference.node_cost inst config u in
     let rng = SM.create u in
     match Best_response.sampled ~csr ~rng ~sample:100 inst config u with
     | Some r ->
@@ -307,9 +307,9 @@ let test_sampled_dynamics_strict_improvements () =
       ~policy:(Sampled_best_response { sample = 2; seed = 31 })
       ~on_step:(fun s ->
         if s.moved then begin
-          let old_cost = Eval.node_cost inst !cur s.node in
+          let old_cost = Bbc_fuzz.Reference.node_cost inst !cur s.node in
           cur := Config.with_strategy !cur s.node s.strategy;
-          let new_cost = Eval.node_cost inst !cur s.node in
+          let new_cost = Bbc_fuzz.Reference.node_cost inst !cur s.node in
           Alcotest.(check int)
             (Printf.sprintf "step %d: cost_after consistent" s.index)
             new_cost s.cost_after;

@@ -29,7 +29,7 @@ let test_theorem5_deviation_is_real () =
   let inst, config = CG.to_game c in
   List.iter
     (fun (d : CG.deviation) ->
-      Alcotest.(check int) "old cost" (Bbc.Eval.node_cost inst config 0) d.old_cost;
+      Alcotest.(check int) "old cost" (Bbc_fuzz.Reference.node_cost inst config 0) d.old_cost;
       let a = d.generator in
       let aa = Bbc_group.Abelian.add c.group a a in
       let targets =
@@ -37,7 +37,7 @@ let test_theorem5_deviation_is_real () =
           (List.map (fun b -> if b = a then aa else b) c.generators)
       in
       let config' = C.with_strategy config 0 targets in
-      Alcotest.(check int) "new cost" (Bbc.Eval.node_cost inst config' 0) d.new_cost)
+      Alcotest.(check int) "new cost" (Bbc_fuzz.Reference.node_cost inst config' 0) d.new_cost)
     (CG.theorem5_deviations c)
 
 let test_hypercube_thm5_vacuous () =

@@ -17,7 +17,7 @@ let test_ring_with_path_tail_reaches_all () =
   let inst, config = Cons.ring_with_path ~ring:6 ~path:3 in
   let g = C.to_graph inst config in
   Alcotest.(check int) "tail reaches everyone" 9
-    (Bbc_graph.Traversal.reach g (Cons.ring_with_path_tail ~ring:6));
+    (Bbc_fuzz.Reference.reach g (Cons.ring_with_path_tail ~ring:6));
   Alcotest.(check bool) "but not strongly connected" false
     (Bbc_graph.Scc.is_strongly_connected g)
 

@@ -1,5 +1,5 @@
 module D = Bbc_graph.Digraph
-module P = Bbc_graph.Paths
+module P = Bbc_fuzz.Reference
 module Csr = Bbc_graph.Csr
 module W = Bbc_graph.Workspace
 module G = Bbc_graph.Generators
@@ -34,7 +34,7 @@ let test_bfs_matches_reference () =
     let csr = Csr.of_digraph g in
     Alcotest.(check bool) "unit graph detected" true (Csr.unit_lengths csr);
     let src = SM.int rng n in
-    Alcotest.(check (array int)) "bfs = Paths.bfs" (P.bfs g src) (fresh_sweep csr src)
+    Alcotest.(check (array int)) "bfs = reference bfs" (P.bfs g src) (fresh_sweep csr src)
   done
 
 let test_dijkstra_matches_reference () =
@@ -46,7 +46,7 @@ let test_dijkstra_matches_reference () =
     let src = SM.int rng n in
     let dist = Array.make n Csr.unreachable in
     Csr.dijkstra csr (Csr.create_scratch ()) ~src ~dist;
-    Alcotest.(check (array int)) "dijkstra = Paths.dijkstra" (P.dijkstra g src) dist
+    Alcotest.(check (array int)) "dijkstra = reference dijkstra" (P.dijkstra g src) dist
   done
 
 let test_sssp_dispatch_zero_lengths () =
@@ -142,14 +142,19 @@ let test_apsp_matches_floyd_warshall () =
   done
 
 let test_shortest_csr_fast_path () =
-  (* Above the dispatch threshold, [Paths.shortest] goes through the CSR
-     kernels; the answers must not change. *)
+  (* A graph far past the fuzz sizes: the pooled sweep every production
+     distance query runs agrees with the list-graph reference. *)
   let rng = SM.create 12 in
   let n = 300 in
   let g = G.random_k_out rng ~n ~k:2 in
+  let csr = Csr.of_digraph g in
   let src = 17 in
-  Alcotest.(check (array int)) "fast path = bfs" (P.bfs g src) (P.shortest g src);
-  Alcotest.(check (array int)) "explicit csr entry" (P.bfs g src) (P.shortest_csr (Csr.of_digraph g) src)
+  Alcotest.(check (array int)) "fresh sweep = bfs" (P.bfs g src) (fresh_sweep csr src);
+  let ws = W.get () in
+  let row = W.acquire ws n in
+  Csr.sssp csr (W.scratch ws) ~src ~dist:row;
+  Alcotest.(check (array int)) "pooled sweep = bfs" (P.bfs g src) (Array.copy row);
+  W.release ws row
 
 let test_workspace_rows_clean () =
   let ws = W.get () in
@@ -200,7 +205,7 @@ let test_msbfs_matches_scalar () =
     Array.iteri
       (fun i src ->
         Alcotest.(check (array int))
-          (Printf.sprintf "msbfs row %d = Paths.bfs" i)
+          (Printf.sprintf "msbfs row %d = reference bfs" i)
           (P.bfs g src) rows.(i))
       srcs
   done

@@ -193,9 +193,9 @@ let test_first_improvement_moves_are_improving () =
     (D.run ~policy:D.First_improvement
        ~on_step:(fun s ->
          if s.moved then begin
-           let before = Bbc.Eval.node_cost inst !current s.node in
+           let before = Bbc_fuzz.Reference.node_cost inst !current s.node in
            current := C.with_strategy !current s.node s.strategy;
-           let after = Bbc.Eval.node_cost inst !current s.node in
+           let after = Bbc_fuzz.Reference.node_cost inst !current s.node in
            Alcotest.(check bool) "strictly improving" true (after < before)
          end)
        ~scheduler:Round_robin ~max_rounds:50 inst c0)

@@ -62,15 +62,18 @@ let test_all_costs_matches_node_cost () =
   in
   let all = E.all_costs inst c in
   for v = 0 to 5 do
-    Alcotest.(check int) "agree" (E.node_cost inst c v) all.(v)
+    Alcotest.(check int) "agree" (Bbc_fuzz.Reference.node_cost inst c v) all.(v)
   done
 
 let test_graph_reuse () =
+  (* One snapshot serves every node of the profile. *)
   let inst = I.uniform ~n:5 ~k:1 in
   let c = ring_config 5 in
-  let g = C.to_graph inst c in
-  Alcotest.(check int) "explicit graph" (E.node_cost inst c 3)
-    (E.node_cost ~graph:g inst c 3)
+  let csr = C.to_csr inst c in
+  for v = 0 to 4 do
+    Alcotest.(check int) "shared snapshot" (E.node_cost inst c v)
+      (E.csr_node_cost inst csr v)
+  done
 
 let test_shared_cost_of_distances () =
   let inst = I.uniform ~n:4 ~k:1 in

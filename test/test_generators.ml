@@ -38,7 +38,7 @@ let test_tree_structure () =
     Alcotest.(check int) "leaf degree" 0 (D.out_degree g v)
   done;
   (* Every non-root is reachable from the root. *)
-  Alcotest.(check int) "root reaches all" 15 (Bbc_graph.Traversal.reach g 0)
+  Alcotest.(check int) "root reaches all" 15 (Bbc_fuzz.Reference.reach g 0)
 
 let test_random_k_out () =
   let rng = SM.create 5 in

@@ -6,7 +6,7 @@
 
 module Splitmix = Bbc_prng.Splitmix
 module Digraph = Bbc_graph.Digraph
-module Paths = Bbc_graph.Paths
+module Ref = Bbc_fuzz.Reference
 module Incremental = Bbc_graph.Incremental
 module Generators = Bbc_graph.Generators
 module I = Bbc.Instance
@@ -17,7 +17,7 @@ module D = Bbc.Dynamics
 let objectives = [ Bbc.Objective.Sum; Bbc.Objective.Max ]
 
 (* ---------------------------------------------------------------- *)
-(* Layer 1: the dynamic SSSP structure against Paths.shortest.        *)
+(* Layer 1: the dynamic SSSP structure against Reference.shortest.    *)
 
 (* A plain mutable out-edge table we can replay into a Digraph for the
    oracle after every mutation. *)
@@ -38,7 +38,7 @@ let check_sssp_matches ~msg n out ssps =
   let g = to_digraph n out in
   List.iter
     (fun s ->
-      let fresh = Paths.shortest g (Incremental.source s) in
+      let fresh = Ref.shortest g (Incremental.source s) in
       Alcotest.(check (array int))
         (Printf.sprintf "%s (src %d)" msg (Incremental.source s))
         fresh
@@ -144,7 +144,7 @@ let test_node_costs_match () =
             for u = 0 to n - 1 do
               Alcotest.(check int)
                 (Printf.sprintf "%s: node %d cost" name u)
-                (Bbc.Eval.node_cost ~objective instance !config u)
+                (Ref.node_cost ~objective instance !config u)
                 (Bbc.Incr.node_cost ~objective ctx u)
             done;
             (* Mutate one random player and re-check through the same
@@ -225,7 +225,7 @@ let test_mask_roundtrip () =
       (Array.copy (Bbc.Incr.distances_from ctx v));
     Alcotest.(check int)
       (Printf.sprintf "cost of %d unchanged" v)
-      (Bbc.Eval.node_cost instance config v)
+      (Ref.node_cost instance config v)
       (Bbc.Incr.node_cost ctx v)
   done
 
@@ -363,14 +363,6 @@ let test_dynamics_jobs_invariant () =
         rest
   | [] -> assert false
 
-let test_env_flag_and_switch () =
-  let saved = Bbc.Incr.enabled () in
-  Bbc.Incr.set_enabled false;
-  Alcotest.(check bool) "disabled" false (Bbc.Incr.enabled ());
-  Alcotest.(check bool) "resolve explicit wins" true (Bbc.Incr.resolve (Some true));
-  Alcotest.(check bool) "resolve default" false (Bbc.Incr.resolve None);
-  Bbc.Incr.set_enabled saved
-
 let suite =
   [
     Alcotest.test_case "repair matches fresh SSSP" `Quick test_repair_matches_fresh;
@@ -382,5 +374,4 @@ let suite =
     Alcotest.test_case "stability matches oracle" `Quick test_stability_matches;
     Alcotest.test_case "dynamics traces bit-identical" `Quick test_dynamics_traces_match;
     Alcotest.test_case "dynamics jobs-invariant" `Quick test_dynamics_jobs_invariant;
-    Alcotest.test_case "engine switch" `Quick test_env_flag_and_switch;
   ]

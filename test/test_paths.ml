@@ -1,6 +1,11 @@
+(* The list-graph reference BFS/Dijkstra that the CSR kernels are
+   checked against. *)
+
 module D = Bbc_graph.Digraph
-module P = Bbc_graph.Paths
+module P = Bbc_fuzz.Reference
 module G = Bbc_graph.Generators
+
+let unreachable = Bbc_graph.Paths.unreachable
 
 let test_bfs_line () =
   let g = G.directed_path 5 in
@@ -10,7 +15,7 @@ let test_bfs_line () =
 let test_bfs_unreachable () =
   let g = G.directed_path 4 in
   let d = P.bfs g 2 in
-  Alcotest.(check int) "behind source" P.unreachable d.(0);
+  Alcotest.(check int) "behind source" unreachable d.(0);
   Alcotest.(check int) "ahead" 1 d.(3)
 
 let test_bfs_ring () =
@@ -39,29 +44,16 @@ let test_dijkstra_matches_bfs_on_unit () =
 
 let test_shortest_dispatch () =
   let g = D.of_edges 3 [ (0, 1, 1); (1, 2, 1) ] in
-  Alcotest.(check bool) "unit lengths" true (P.all_unit_lengths g);
+  Alcotest.(check bool) "unit lengths" true (D.all_unit_lengths g);
   D.add_edge g 0 2 7;
-  Alcotest.(check bool) "no longer unit" false (P.all_unit_lengths g);
+  Alcotest.(check bool) "no longer unit" false (D.all_unit_lengths g);
   Alcotest.(check int) "shortest uses lengths" 2 (P.shortest g 0).(2)
 
 let test_distance () =
   let g = G.directed_ring 5 in
-  Alcotest.(check int) "around the ring" 4 (P.distance g 1 0);
+  Alcotest.(check int) "around the ring" 4 (P.shortest g 1).(0);
   let h = G.directed_path 3 in
-  Alcotest.(check int) "unreachable" P.unreachable (P.distance h 2 0)
-
-let test_path_reconstruction () =
-  let g = D.of_edges 4 [ (0, 1, 10); (0, 2, 1); (2, 1, 2); (1, 3, 1) ] in
-  (match P.path g 0 3 with
-  | Some p -> Alcotest.(check (list int)) "path via relay" [ 0; 2; 1; 3 ] p
-  | None -> Alcotest.fail "expected a path");
-  Alcotest.(check bool) "no path" true (P.path g 3 0 = None)
-
-let test_path_trivial () =
-  let g = D.create 2 in
-  match P.path g 0 0 with
-  | Some p -> Alcotest.(check (list int)) "self path" [ 0 ] p
-  | None -> Alcotest.fail "expected the trivial path"
+  Alcotest.(check int) "unreachable" unreachable (P.shortest h 2).(0)
 
 let test_deep_graph_no_overflow () =
   (* A 100k-node path: traversals must not use O(n) call stack. *)
@@ -79,7 +71,5 @@ let suite =
     Alcotest.test_case "dijkstra = bfs on unit graphs" `Quick test_dijkstra_matches_bfs_on_unit;
     Alcotest.test_case "shortest dispatch" `Quick test_shortest_dispatch;
     Alcotest.test_case "distance" `Quick test_distance;
-    Alcotest.test_case "path reconstruction" `Quick test_path_reconstruction;
-    Alcotest.test_case "trivial path" `Quick test_path_trivial;
     Alcotest.test_case "deep graph traversal" `Quick test_deep_graph_no_overflow;
   ]

@@ -9,7 +9,7 @@
 module Q = QCheck
 module SM = Bbc_prng.Splitmix
 module D = Bbc_graph.Digraph
-module P = Bbc_graph.Paths
+module P = Bbc_fuzz.Reference
 module G = Bbc_graph.Generators
 module Scc = Bbc_graph.Scc
 module I = Bbc.Instance
@@ -68,9 +68,9 @@ let prop_triangle_inequality =
            for v = 0 to n - 1 do
              for w = 0 to n - 1 do
                if
-                 dist.(u).(v) <> P.unreachable
-                 && dist.(v).(w) <> P.unreachable
-                 && (dist.(u).(w) = P.unreachable
+                 dist.(u).(v) <> Bbc_graph.Paths.unreachable
+                 && dist.(v).(w) <> Bbc_graph.Paths.unreachable
+                 && (dist.(u).(w) = Bbc_graph.Paths.unreachable
                     || dist.(u).(w) > dist.(u).(v) + dist.(v).(w))
                then ok := false
              done
@@ -79,8 +79,8 @@ let prop_triangle_inequality =
          !ok))
 
 let mutually_reachable g u v =
-  (Bbc_graph.Traversal.reachable_set g u).(v)
-  && (Bbc_graph.Traversal.reachable_set g v).(u)
+  (P.reachable_set g u).(v)
+  && (P.reachable_set g v).(u)
 
 let prop_scc_is_mutual_reachability =
   Q.Test.make ~count:40 ~name:"same SCC <-> mutually reachable" graph_arb
@@ -156,8 +156,8 @@ let prop_best_response_is_lower_bound =
        gen)
     (on_root (fun (inst, cfg, u, trial) ->
          let best = (Bbc.Best_response.exact inst cfg u).cost in
-         best <= E.node_cost inst (C.with_strategy cfg u trial) u
-         && best <= E.node_cost inst cfg u))
+         best <= P.node_cost inst (C.with_strategy cfg u trial) u
+         && best <= P.node_cost inst cfg u))
 
 (* Uniform k = 1 games: the regime of the original reach argument (the
    disconnection penalty dominates any finite-distance saving). *)
@@ -178,13 +178,13 @@ let prop_mover_reach_never_decreases =
   Q.Test.make ~count:50 ~name:"a best-response step never lowers the mover's reach"
     uniform1_arb
     (on_root (fun (inst, cfg, u) ->
-         let before = Bbc_graph.Traversal.reach (C.to_graph inst cfg) u in
+         let before = P.reach (C.to_graph inst cfg) u in
          match Bbc.Best_response.improving inst cfg u with
          | None -> true
          | Some _ ->
              let best = Bbc.Best_response.exact inst cfg u in
              let c' = C.with_strategy cfg u best.strategy in
-             Bbc_graph.Traversal.reach (C.to_graph inst c') u >= before))
+             P.reach (C.to_graph inst c') u >= before))
 
 let prop_flow_cost_equals_shortest_path =
   let open F in
@@ -207,7 +207,7 @@ let prop_flow_cost_equals_shortest_path =
            let g = C.to_graph inst cfg in
            let d = (P.shortest g u).(v) in
            let expected =
-             if d = P.unreachable then float_of_int (I.penalty inst)
+             if d = Bbc_graph.Paths.unreachable then float_of_int (I.penalty inst)
              else float_of_int (min d (I.penalty inst))
            in
            Float.abs (Bbc.Fractional.pair_cost inst p u v -. expected) < 1e-6
@@ -281,9 +281,9 @@ let prop_dynamics_deviations_strictly_improve =
            (Bbc.Dynamics.run
               ~on_step:(fun s ->
                 if s.moved then begin
-                  let before = E.node_cost inst !current s.node in
+                  let before = P.node_cost inst !current s.node in
                   current := C.with_strategy !current s.node s.strategy;
-                  let after = E.node_cost inst !current s.node in
+                  let after = P.node_cost inst !current s.node in
                   if after >= before then ok := false
                 end)
               ~scheduler:Round_robin ~max_rounds:30 inst c0);
