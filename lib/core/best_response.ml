@@ -15,15 +15,12 @@ let candidate_targets instance u =
 
 (* Distance rows in G_{-u}, fetched lazily per candidate target and
    cached for the duration of one enumeration.  [fetch] is the engine:
-   a CSR kernel sweep of the G_{-u} snapshot into a pooled workspace
-   row, or one of the two incremental providers in {!Incr}.  [owned]
-   rows came from the per-domain pool and go back to it when the
-   enumeration finishes; the masked engine serves live internal arrays
-   that must not be released. *)
+   a CSR kernel sweep of the G_{-u} snapshot, or {!Incr}'s threshold
+   rule on a functional profile.  Either way the rows come from the
+   per-domain pool and go back to it when the enumeration finishes. *)
 type rows = {
   fetch : int -> int array;
   cache : int array option array;
-  owned : bool;
 }
 
 (* With [?csr] (a shared full snapshot of the {e current} profile,
@@ -55,7 +52,6 @@ let scratch_rows ?csr ?prefetch instance config u =
           Csr.sssp ~ban snap (Workspace.scratch ws) ~src:v ~dist:row;
           row);
       cache = Array.make n None;
-      owned = true;
     }
   in
   (match prefetch with
@@ -76,15 +72,19 @@ let threshold_rows ctx instance u =
         Incr.threshold_row_into ctx ~u ~v row;
         row);
     cache = Array.make n None;
-    owned = true;
   }
 
-let masked_rows ctx instance =
-  {
-    fetch = (fun v -> Incr.masked_row ctx v);
-    cache = Array.make (Instance.n instance) None;
-    owned = false;
-  }
+(* The G_{-u} rows a context pays for are threshold rows on a
+   functional profile (uniform k = 1 skips rows altogether, see
+   [analytic_enumerate]).  Every other profile, and every context-free
+   call, takes the batched CSR rows of [scratch_rows].  A context must
+   already be in sync with [config]. *)
+let provider ?ctx ?csr instance config u =
+  match ctx with
+  | Some c when Incr.functional c -> threshold_rows c instance u
+  | _ ->
+      let candidates = Array.of_list (candidate_targets instance u) in
+      scratch_rows ?csr ~prefetch:candidates instance config u
 
 let row rows v =
   match rows.cache.(v) with
@@ -95,15 +95,14 @@ let row rows v =
       d
 
 let release_rows ws rows =
-  if rows.owned then
-    Array.iteri
-      (fun v r ->
-        match r with
-        | None -> ()
-        | Some r ->
-            rows.cache.(v) <- None;
-            Workspace.release ws r)
-      rows.cache
+  Array.iteri
+    (fun v r ->
+      match r with
+      | None -> ()
+      | Some r ->
+          rows.cache.(v) <- None;
+          Workspace.release ws r)
+    rows.cache
 
 (* Distance from u to x when u's strategy gains the link (u,v) of length
    [luv], given the current best-known distances [src] and the
@@ -283,19 +282,12 @@ let analytic_enumerate ~objective ctx instance u ~on_subset =
   Bbc_obs.add obs_subsets !subsets
 
 let enumerate ?(objective = Objective.Sum) ?ctx ?csr instance config u ~on_subset =
+  Option.iter (fun c -> Incr.ensure c config) ctx;
   match ctx with
-  | Some c ->
-      Incr.ensure c config;
-      if Incr.analytic c then analytic_enumerate ~objective c instance u ~on_subset
-      else if Incr.functional c then
-        dfs_enumerate ~objective instance u ~rows:(threshold_rows c instance u) ~on_subset
-      else
-        Incr.with_masked c u (fun () ->
-            dfs_enumerate ~objective instance u ~rows:(masked_rows c instance) ~on_subset)
-  | None ->
-      let candidates = Array.of_list (candidate_targets instance u) in
-      dfs_enumerate ~candidates ~objective instance u
-        ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)
+  | Some c when Incr.analytic c -> analytic_enumerate ~objective c instance u ~on_subset
+  | _ ->
+      dfs_enumerate ~objective instance u
+        ~rows:(provider ?ctx ?csr instance config u)
         ~on_subset
 
 let exact ?objective ?ctx ?csr instance config u =
@@ -410,15 +402,5 @@ let greedy_rows ~objective instance u ~rows =
       grow [] (Instance.budget instance u) base (eval base))
 
 let greedy ?(objective = Objective.Sum) ?ctx ?csr instance config u =
-  match ctx with
-  | Some c ->
-      Incr.ensure c config;
-      if Incr.functional c then
-        greedy_rows ~objective instance u ~rows:(threshold_rows c instance u)
-      else
-        Incr.with_masked c u (fun () ->
-            greedy_rows ~objective instance u ~rows:(masked_rows c instance))
-  | None ->
-      let candidates = Array.of_list (candidate_targets instance u) in
-      greedy_rows ~objective instance u
-        ~rows:(scratch_rows ?csr ~prefetch:candidates instance config u)
+  Option.iter (fun c -> Incr.ensure c config) ctx;
+  greedy_rows ~objective instance u ~rows:(provider ?ctx ?csr instance config u)

@@ -12,11 +12,14 @@
     strategy is then scored in O(n).  Strategies are enumerated by DFS
     over affordable target subsets.
 
-    Every function takes an optional incremental context ([?ctx]).  With
-    a context, rows come from delta-repaired SSSPs ({!Incr}) instead of
-    per-candidate from-scratch searches; results are bit-identical (same
-    costs, same DFS visiting order, same tie-breaking), only faster.
-    Contexts are mutable single-domain state — do not share one across
+    Every function takes an optional incremental context ([?ctx]).  On
+    a functional profile (every node buys at most one link) the context
+    replaces the rows: uniform [k = 1] strategies get closed-form costs
+    and other functional profiles get threshold rows cut from its
+    delta-repaired SSSPs ({!Incr}).  Every other profile takes the same
+    rows as a context-free call.  Results are bit-identical either way
+    (same costs, same DFS visiting order, same tie-breaking).  Contexts
+    are mutable single-domain state — do not share one across
     {!Bbc_parallel} workers.
 
     Every function also takes an optional shared snapshot ([?csr]),
@@ -27,8 +30,7 @@
     evaluated against it too.  Results are bit-identical; the point is
     that parallel fan-outs (stability scans, dynamics improving scans)
     share one read-only snapshot and stop contending on allocation.
-    [csr] is only consulted when no [ctx] is given (a context carries
-    its own distance engines). *)
+    With a [ctx], [csr] is only consulted on a non-functional profile. *)
 
 type result = {
   strategy : int list;  (** An optimal link set (sorted). *)

@@ -4,13 +4,6 @@ module Paths = Bbc_graph.Paths
 (* ------------------------------------------------------------------ *)
 (* Context.                                                            *)
 
-type mask = {
-  m_u : int;
-  m_old : (int * int) list;
-  m_undos : (Incremental.t * Incremental.undo) list;
-  mutable m_fresh : int list; (* sources first materialized while masked *)
-}
-
 type ctx = {
   instance : Instance.t;
   graph : Incremental.graph; (* mutable mirror of [config]'s realized graph *)
@@ -20,13 +13,11 @@ type ctx = {
   cost_val : int array;
   cost_ver : int array; (* dist_ver at cache time; -1 = empty *)
   cost_obj : Objective.t array;
-  mutable masked : mask option;
 }
 
 let obs_contexts = Bbc_obs.counter "incr.contexts"
 let obs_hits = Bbc_obs.counter "incr.cost_cache_hits"
 let obs_misses = Bbc_obs.counter "incr.cost_cache_misses"
-let obs_masks = Bbc_obs.counter "incr.masks"
 let obs_threshold_rows = Bbc_obs.counter "incr.threshold_rows"
 let obs_analytic = Bbc_obs.counter "incr.analytic_costs"
 let obs_moves = Bbc_obs.counter "incr.moves"
@@ -43,14 +34,9 @@ let create instance config =
     cost_val = Array.make n 0;
     cost_ver = Array.make n (-1);
     cost_obj = Array.make n Objective.Sum;
-    masked = None;
   }
 
-let instance ctx = ctx.instance
 let config ctx = ctx.config
-
-let unmasked_or_fail ctx name =
-  if ctx.masked <> None then invalid_arg ("Incr." ^ name ^ ": context is masked")
 
 let sssp ctx v =
   match ctx.sssp.(v) with
@@ -58,18 +44,14 @@ let sssp ctx v =
   | None ->
       let s = Incremental.create ctx.graph v in
       ctx.sssp.(v) <- Some s;
-      (match ctx.masked with Some m -> m.m_fresh <- v :: m.m_fresh | None -> ());
       s
 
-let distances_from ctx v =
-  unmasked_or_fail ctx "distances_from";
-  Incremental.distances (sssp ctx v)
+let distances_from ctx v = Incremental.distances (sssp ctx v)
 
 (* ------------------------------------------------------------------ *)
 (* Moves.                                                              *)
 
 let apply_move ctx u targets =
-  unmasked_or_fail ctx "apply_move";
   Bbc_obs.incr obs_moves;
   let es = List.map (fun v -> (v, Instance.length ctx.instance u v)) targets in
   let old = Incremental.replace_out ctx.graph u es in
@@ -81,25 +63,22 @@ let apply_move ctx u targets =
         match s with
         | None -> ()
         | Some s ->
-            let changed, _undo = Incremental.repair s ~u ~removed ~added in
-            if changed > 0 then ctx.dist_ver.(src) <- ctx.dist_ver.(src) + 1)
+            if Incremental.repair s ~u ~removed ~added > 0 then
+              ctx.dist_ver.(src) <- ctx.dist_ver.(src) + 1)
       ctx.sssp;
   ctx.config <- Config.with_strategy ctx.config u targets
 
 let ensure ctx config =
-  if not (Config.equal ctx.config config) then begin
-    unmasked_or_fail ctx "ensure";
+  if not (Config.equal ctx.config config) then
     for u = 0 to Instance.n ctx.instance - 1 do
       let t = Config.targets config u in
       if t <> Config.targets ctx.config u then apply_move ctx u t
     done
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Cached node costs.                                                  *)
 
 let node_cost ?(objective = Objective.Sum) ctx u =
-  unmasked_or_fail ctx "node_cost";
   let s = sssp ctx u in
   if ctx.cost_ver.(u) = ctx.dist_ver.(u) && ctx.cost_obj.(u) = objective then begin
     Bbc_obs.incr obs_hits;
@@ -155,7 +134,6 @@ let singleton_cost ?(objective = Objective.Sum) ctx u v =
    (strictly increasing distances), so a distance is kept iff it does not
    exceed dist_v(u). *)
 let threshold_row_into ctx ~u ~v dst =
-  unmasked_or_fail ctx "threshold_row";
   Bbc_obs.incr obs_threshold_rows;
   let dv = Incremental.distances (sssp ctx v) in
   let t = dv.(u) in
@@ -163,48 +141,3 @@ let threshold_row_into ctx ~u ~v dst =
     let d = dv.(i) in
     dst.(i) <- (if d <= t then d else Paths.unreachable)
   done
-
-let threshold_row ctx ~u ~v =
-  let dst = Array.make (Instance.n ctx.instance) Paths.unreachable in
-  threshold_row_into ctx ~u ~v dst;
-  dst
-
-let mask ctx u =
-  unmasked_or_fail ctx "mask";
-  Bbc_obs.incr obs_masks;
-  let old = Incremental.replace_out ctx.graph u [] in
-  let undos = ref [] in
-  Array.iter
-    (function
-      | None -> ()
-      | Some s ->
-          let _changed, undo = Incremental.repair s ~u ~removed:old ~added:[] in
-          undos := (s, undo) :: !undos)
-    ctx.sssp;
-  ctx.masked <- Some { m_u = u; m_old = old; m_undos = !undos; m_fresh = [] }
-
-let unmask ctx =
-  match ctx.masked with
-  | None -> invalid_arg "Incr.unmask: not masked"
-  | Some m ->
-      ignore (Incremental.replace_out ctx.graph m.m_u m.m_old);
-      ctx.masked <- None;
-      (* Pre-existing SSSPs: exact rollback, so caches keyed on their
-         versions stay valid.  Fresh ones were built against G_{-u} and
-         roll forward by re-relaxing the restored edges (decrease-only). *)
-      List.iter (fun (s, undo) -> Incremental.undo s undo) m.m_undos;
-      List.iter
-        (fun v ->
-          match ctx.sssp.(v) with
-          | None -> ()
-          | Some s ->
-              ignore (Incremental.repair s ~u:m.m_u ~removed:[] ~added:m.m_old))
-        m.m_fresh
-
-let with_masked ctx u f =
-  mask ctx u;
-  Fun.protect ~finally:(fun () -> unmask ctx) f
-
-let masked_row ctx v =
-  if ctx.masked = None then invalid_arg "Incr.masked_row: not masked";
-  Incremental.distances (sssp ctx v)

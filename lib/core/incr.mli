@@ -9,6 +9,14 @@
     keyed on those counters, so only players whose distances moved are
     re-evaluated.
 
+    For best responses the context pays only on functional profiles
+    (every node buys at most one link): uniform [k = 1] strategies get
+    closed-form costs ({!singleton_cost}) and other functional
+    profiles get [G_{-u}] rows by a cutoff on the full-graph SSSP
+    ({!threshold_row_into}).  Every other profile takes
+    {!Best_response}'s context-free rows, one batched CSR traversal
+    ([Csr.sssp_batch]) for all candidate targets.
+
     Results are bit-identical to the from-scratch {!Eval} /
     {!Best_response} pipeline: the same distances feed the same
     {!Eval.cost_of_distances} fold, and the enumeration order is
@@ -23,14 +31,13 @@
 type ctx
 
 val create : Instance.t -> Config.t -> ctx
-val instance : ctx -> Instance.t
 
 val config : ctx -> Config.t
 (** The configuration the mirror currently realizes. *)
 
 val apply_move : ctx -> int -> int list -> unit
 (** [apply_move ctx u targets] rewires player [u] and repairs all
-    materialized SSSPs.  Not allowed while masked. *)
+    materialized SSSPs. *)
 
 val ensure : ctx -> Config.t -> unit
 (** Bring the context in sync with [config] by applying per-player
@@ -61,19 +68,9 @@ val singleton_cost : ?objective:Objective.t -> ctx -> int -> int -> int
 (** [singleton_cost ctx u v] — cost of strategy [{v}] for player [u];
     only valid when {!analytic} holds. *)
 
-val threshold_row : ctx -> u:int -> v:int -> int array
-(** [G_{-u}] distance row from [v], derived from the full-graph SSSP
-    by the walk-cutoff rule; only valid when {!functional} holds. *)
-
 val threshold_row_into : ctx -> u:int -> v:int -> int array -> unit
-(** {!threshold_row} written into a caller-supplied buffer (length [n],
-    every entry overwritten) — the zero-allocation variant the
-    best-response enumeration feeds with {!Bbc_graph.Workspace} rows. *)
-
-val with_masked : ctx -> int -> (unit -> 'a) -> 'a
-(** [with_masked ctx u f] runs [f] with [u]'s out-edges removed from
-    the mirror (materialized SSSPs delta-repaired, exact rollback on
-    exit): inside [f], {!masked_row} serves [G_{-u}] rows directly. *)
-
-val masked_row : ctx -> int -> int array
-(** Live [G_{-u}] distance row of a source; only inside {!with_masked}. *)
+(** [G_{-u}] distance row from [v], derived from the full-graph SSSP
+    by the walk-cutoff rule and written into a caller-supplied buffer
+    (length [n], every entry overwritten; the best-response enumeration
+    feeds it {!Bbc_graph.Workspace} rows); only valid when
+    {!functional} holds. *)

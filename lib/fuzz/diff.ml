@@ -342,40 +342,6 @@ let prop_incr_vs_scratch (inst, cfg0, ms) =
           costs_agree ~what:(Printf.sprintf "after move %d" !step) inst !cfg ctx)
         ms
 
-let prop_masked_roundtrip (inst, cfg0, ms) =
-  let ctx = Bbc.Incr.create inst cfg0 in
-  let cfg = ref cfg0 in
-  List.iter
-    (fun (u, s) ->
-      Bbc.Incr.apply_move ctx u s;
-      cfg := C.with_strategy !cfg u s)
-    ms;
-  check_all
-    (fun u ->
-      let before = Bbc.Incr.all_costs ctx in
-      let inside =
-        Bbc.Incr.with_masked ctx u (fun () ->
-            let skipped = C.to_csr ~skip:u inst !cfg in
-            check_all
-              (fun src ->
-                let masked = Bbc.Incr.masked_row ctx src in
-                let reference = csr_row skipped src in
-                match array_mismatch masked reference with
-                | None -> ok
-                | Some v ->
-                    failf "mask %d src %d: masked_row and ~skip disagree at %d"
-                      u src v)
-              (nodes inst))
-      in
-      match inside with
-      | Error _ as e -> e
-      | Ok () -> (
-          let after = Bbc.Incr.all_costs ctx in
-          match array_mismatch before after with
-          | None -> ok
-          | Some v -> failf "mask %d: undo changed node %d's cost" u v))
-    (nodes inst)
-
 let deviation_to_string = function
   | None -> "stable"
   | Some (d : Bbc.Stability.deviation) ->
@@ -383,25 +349,49 @@ let deviation_to_string = function
         d.better.BR.cost
         (String.concat ";" (List.map string_of_int d.better.BR.strategy))
 
+let result_to_string (r : BR.result) =
+  Printf.sprintf "[%s] cost %d"
+    (String.concat ";" (List.map string_of_int r.strategy))
+    r.cost
+
+(* Every row provider a context can pick (closed form, threshold rows,
+   the context-free batch) against the context-free call, per node, for
+   the exact and the greedy best response; then the stability scan. *)
 let prop_stability_engines (inst, cfg0, ms) =
   let cfg = List.fold_left (fun c (u, s) -> C.with_strategy c u s) cfg0 ms in
-  let inc = Bbc.Stability.find_deviation ~ctx:(Bbc.Incr.create inst cfg) inst cfg in
-  (* The from-scratch scan on the calling domain and on the pool. *)
-  check_all
-    (fun jobs ->
-      let scr = Bbc.Stability.find_deviation ~jobs inst cfg in
-      if inc = scr then ok
-      else
-        failf "find_deviation: incremental says %S, from-scratch (jobs=%d) says %S"
-          (deviation_to_string inc) jobs (deviation_to_string scr))
-    [ 1; 2 ]
+  let ctx = Bbc.Incr.create inst cfg in
+  let same what u with_ctx without =
+    if with_ctx = without then ok
+    else
+      failf "%s %d: with ctx %s, context-free %s" what u (result_to_string with_ctx)
+        (result_to_string without)
+  in
+  let per_node =
+    check_all
+      (fun u ->
+        match same "exact" u (BR.exact ~ctx inst cfg u) (BR.exact inst cfg u) with
+        | Error _ as e -> e
+        | Ok () -> same "greedy" u (BR.greedy ~ctx inst cfg u) (BR.greedy inst cfg u))
+      (nodes inst)
+  in
+  match per_node with
+  | Error _ as e -> e
+  | Ok () ->
+      let inc = Bbc.Stability.find_deviation ~ctx inst cfg in
+      (* The from-scratch scan on the calling domain and on the pool. *)
+      check_all
+        (fun jobs ->
+          let scr = Bbc.Stability.find_deviation ~jobs inst cfg in
+          if inc = scr then ok
+          else
+            failf "find_deviation: incremental says %S, from-scratch (jobs=%d) says %S"
+              (deviation_to_string inc) jobs (deviation_to_string scr))
+        [ 1; 2 ]
 
 let incr_suite =
   let render (inst, cfg, ms) = (inst, Some cfg, moves_to_string ms) in
   [
     Packed { name = "incr_vs_scratch"; gen = icm; prop = prop_incr_vs_scratch; render };
-    Packed
-      { name = "masked_roundtrip"; gen = icm; prop = prop_masked_roundtrip; render };
     Packed
       { name = "stability_engines"; gen = icm; prop = prop_stability_engines; render };
   ]

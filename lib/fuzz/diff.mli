@@ -14,8 +14,8 @@
       window boundary (ragged tails, [~ban], shuffled/duplicated
       source subsets, scratch reuse with [reset_rows]);
     - [incr] — scratch [Eval] vs {!Bbc.Incr} contexts under generated
-      move sequences, with [with_masked] exact-undo round-trips and
-      incremental-vs-parallel [Stability];
+      move sequences, [Best_response.exact]/[greedy] with vs without a
+      context on every node, and incremental-vs-parallel [Stability];
     - [br] — [Best_response.exact] (and its [?csr]/[?ctx] variants)
       vs exhaustive strategy enumeration on tiny instances, each
       strategy costed by the list-graph {!Reference.node_cost};

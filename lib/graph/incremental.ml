@@ -9,7 +9,6 @@ type graph = {
   bwd : (int * int) list array; (* bwd.(v) = [(u, len); ...] *)
   mutable multi : int; (* vertices with out-degree >= 2 *)
   mutable non_unit : int; (* edges with length <> 1 *)
-  mutable version : int; (* bumped on every mutation *)
 }
 
 let of_digraph g =
@@ -21,7 +20,6 @@ let of_digraph g =
       bwd = Array.make n [];
       multi = 0;
       non_unit = 0;
-      version = 0;
     }
   in
   for u = 0 to n - 1 do
@@ -36,11 +34,8 @@ let of_digraph g =
   done;
   t
 
-let graph_size g = g.gn
-let out_edges g u = g.fwd.(u)
 let functional g = g.multi = 0
 let unit_lengths g = g.non_unit = 0
-let version g = g.version
 
 let count_non_unit es =
   List.fold_left (fun acc (_, len) -> if len <> 1 then acc + 1 else acc) 0 es
@@ -55,7 +50,6 @@ let replace_out g u es =
     old;
   List.iter (fun (v, len) -> g.bwd.(v) <- (u, len) :: g.bwd.(v)) es;
   g.fwd.(u) <- es;
-  g.version <- g.version + 1;
   old
 
 (* ------------------------------------------------------------------ *)
@@ -74,10 +68,6 @@ type t = {
   mark : int array; (* stamped when a vertex enters the current log *)
   mutable stamp : int;
 }
-
-(* Undo record: each touched vertex appears once with its pre-repair
-   distance and tree parent. *)
-type undo = (int * int * int) list
 
 let source t = t.src
 let distances t = t.dist
@@ -189,11 +179,11 @@ let create g src =
 
 (* --- repair -------------------------------------------------------- *)
 
-(* Log a vertex's pre-repair state exactly once per repair. *)
+(* Log a vertex's pre-repair distance exactly once per repair. *)
 let log_once t log x =
   if t.mark.(x) <> t.stamp then begin
     t.mark.(x) <- t.stamp;
-    log := (x, t.dist.(x), t.parent.(x)) :: !log
+    log := (x, t.dist.(x)) :: !log
   end
 
 (* Collect the shortest-path-tree subtree rooted at [r] (inclusive). *)
@@ -218,13 +208,13 @@ let subtree t r acc =
    a removed edge are invalidated (whole subtrees, conservatively) and
    recomputed by a Dijkstra seeded from the unaffected boundary; added
    edges feed ordinary decrease-only relaxation.  Returns the number of
-   vertices whose distance actually changed plus the undo log. *)
+   vertices whose distance actually changed. *)
 let repair t ~u ~removed ~added =
   if t.dist.(u) = unreachable then begin
     (* u was and stays unreachable from the source: no route from the
        source uses u's out-edges, so no distance can change. *)
     Bbc_obs.incr obs_noop;
-    (0, [])
+    0
   end
   else begin
     t.stamp <- t.stamp + 1;
@@ -284,28 +274,13 @@ let repair t ~u ~removed ~added =
     drain ();
     let changed =
       List.fold_left
-        (fun acc (x, old_dist, _) -> if t.dist.(x) <> old_dist then acc + 1 else acc)
+        (fun acc (x, old_dist) -> if t.dist.(x) <> old_dist then acc + 1 else acc)
         0 !log
     in
     Bbc_obs.incr obs_repairs;
     Bbc_obs.observe obs_repair_size (List.length !log);
-    (changed, !log)
+    changed
   end
-
-let undo t log =
-  (* Two passes: restore every touched vertex's distance first (with the
-     tree link severed), then re-attach under the recorded parents —
-     attachment order is irrelevant once all parents are final. *)
-  List.iter
-    (fun (x, old_dist, _) ->
-      if t.dist.(x) = unreachable && old_dist <> unreachable then
-        t.reach <- t.reach + 1
-      else if t.dist.(x) <> unreachable && old_dist = unreachable then
-        t.reach <- t.reach - 1;
-      detach t x;
-      t.dist.(x) <- old_dist)
-    log;
-  List.iter (fun (x, _, old_parent) -> if old_parent >= 0 then attach t x old_parent) log
 
 (* --- debug oracle -------------------------------------------------- *)
 

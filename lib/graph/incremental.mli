@@ -5,8 +5,7 @@
     ({!replace_out} — exactly the move a BBC player makes).  Each
     {!t} maintains the distance array and an explicit shortest-path
     tree for one source; after a mutation, {!repair} fixes only the
-    affected region instead of recomputing from scratch and returns an
-    undo log so the mutation can be rolled back exactly. *)
+    affected region instead of recomputing from scratch. *)
 
 val unreachable : int
 (** Same sentinel as [Paths.unreachable] ([max_int]). *)
@@ -18,30 +17,19 @@ type graph
 val of_digraph : Digraph.t -> graph
 (** Snapshot a digraph into a mutable mirror. *)
 
-val graph_size : graph -> int
-val out_edges : graph -> int -> (int * int) list
-
 val functional : graph -> bool
 (** [true] iff every vertex has out-degree at most one. *)
 
 val unit_lengths : graph -> bool
 (** [true] iff every edge has length 1. *)
 
-val version : graph -> int
-(** Monotone counter bumped by every {!replace_out}. *)
-
 val replace_out : graph -> int -> (int * int) list -> (int * int) list
 (** [replace_out g u es] installs [es] as [u]'s out-edges and returns
-    the previous out-edge list (for repair and rollback). *)
+    the previous out-edge list (for {!repair}). *)
 
 (** {1 Dynamic SSSP} *)
 
 type t
-
-type undo
-(** Opaque log from one {!repair}; feed back to {!undo} to restore the
-    pre-repair state (valid only while the graph matches the post-repair
-    mutation). *)
 
 val create : graph -> int -> t
 (** [create g src] runs a full BFS/Dijkstra from [src]. *)
@@ -55,16 +43,11 @@ val distances : t -> int array
 val reachable_count : t -> int
 (** Number of vertices at finite distance, including the source. *)
 
-val repair : t -> u:int -> removed:(int * int) list -> added:(int * int) list -> int * undo
+val repair : t -> u:int -> removed:(int * int) list -> added:(int * int) list -> int
 (** [repair t ~u ~removed ~added] updates distances after [u]'s
     out-edges changed by deleting [removed] and inserting [added]
     (i.e. after the matching {!replace_out}).  Returns the number of
-    vertices whose distance actually changed, and the undo log. *)
-
-val undo : t -> undo -> unit
-(** Roll the structure back to its exact pre-{!repair} state.  Must be
-    applied after the graph itself has been rolled back (or is about to
-    be, before any further queries). *)
+    vertices whose distance actually changed. *)
 
 val well_formed : t -> bool
 (** Internal invariant check (tree edges exist in the graph, distances

@@ -1,4 +1,4 @@
-(** Strongly connected components (iterative Tarjan) and condensation.
+(** Strongly connected components (iterative Tarjan).
 
     Component ids are assigned in reverse topological order of the
     condensation: if there is an edge from component [a] to component [b]
@@ -13,17 +13,4 @@ type t = {
 
 val compute : Digraph.t -> t
 
-val members : t -> int -> int list
-(** Vertices of a given component, in increasing order. *)
-
-val sizes : t -> int array
-(** [sizes scc] maps each component id to its cardinality. *)
-
 val is_strongly_connected : Digraph.t -> bool
-
-val condensation : Digraph.t -> t -> Digraph.t
-(** The condensation DAG: one vertex per component, a unit-length edge
-    between distinct components whenever some original edge crosses them. *)
-
-val sink_components : Digraph.t -> t -> int list
-(** Components with no outgoing edge in the condensation. *)

@@ -44,7 +44,10 @@ echo "check_fuzz: msbfs soak, seed=$((SEED + 1)) count=$MSBFS_COUNT"
 }
 
 echo "check_fuzz: selfcheck (planted broken oracle must be caught + shrunk)"
-out=/tmp/check_fuzz_selfcheck.txt
+# A private capture file, so concurrent gate runs cannot read each
+# other's output; removed on every exit path.
+out=$(mktemp "${TMPDIR:-/tmp}/check_fuzz_selfcheck.XXXXXX")
+trap 'rm -f "$out"' EXIT
 if "$bbc" fuzz --suite selfcheck --seed "$SEED" --count "$COUNT" \
   --max-shrink-steps "$STEPS" > "$out" 2>&1; then
   cat "$out"

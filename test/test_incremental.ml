@@ -69,31 +69,6 @@ let test_repair_matches_fresh () =
       done)
     [ (12, 2, 1); (20, 3, 4); (30, 1, 1) ]
 
-let test_repair_undo_roundtrip () =
-  let rng = Splitmix.create 7 in
-  let n = 18 in
-  let out = Array.init n (fun u -> random_out_edges rng n ~max_deg:2 ~max_len:3 u) in
-  let mirror = Incremental.of_digraph (to_digraph n out) in
-  let ssps = List.map (Incremental.create mirror) [ 0; 5; 17 ] in
-  for _step = 1 to 25 do
-    let before = List.map (fun s -> Array.copy (Incremental.distances s)) ssps in
-    let u = Splitmix.int rng n in
-    let es = random_out_edges rng n ~max_deg:2 ~max_len:3 u in
-    let old = Incremental.replace_out mirror u es in
-    let removed = List.filter (fun e -> not (List.mem e es)) old in
-    let added = List.filter (fun e -> not (List.mem e old)) es in
-    let undos = List.map (fun s -> Incremental.repair s ~u ~removed ~added) ssps in
-    (* Roll everything back: the mutation and every repair. *)
-    ignore (Incremental.replace_out mirror u old);
-    List.iter2 (fun s (_changed, undo) -> Incremental.undo s undo) ssps undos;
-    List.iter2
-      (fun s dist0 ->
-        Alcotest.(check (array int)) "undo restores distances" dist0
-          (Array.copy (Incremental.distances s));
-        Alcotest.(check bool) "well formed after undo" true (Incremental.well_formed s))
-      ssps before
-  done
-
 (* ---------------------------------------------------------------- *)
 (* Random feasible configurations for arbitrary instances.            *)
 
@@ -115,9 +90,9 @@ let random_config rng instance =
            candidates;
          !chosen))
 
-(* Instance zoo: uniform k=1 (analytic path), uniform k=2 (masked rows),
-   and one of each non-uniform generator (masked or threshold rows
-   depending on the realized out-degrees). *)
+(* Instance zoo: uniform k=1 (analytic path), uniform k=2 (context-free
+   rows), and one of each non-uniform generator (context-free or
+   threshold rows depending on the realized out-degrees). *)
 let instances rng =
   [
     ("uniform k1", I.uniform ~n:14 ~k:1);
@@ -206,9 +181,9 @@ let test_all_best_match () =
       done)
     (instances rng)
 
-(* A masked enumeration must leave the context exactly as it found it:
+(* Best responses must leave the context exactly as they found it:
    same distances, same cached costs. *)
-let test_mask_roundtrip () =
+let test_context_preserved () =
   let rng = Splitmix.create 5 in
   let instance = I.uniform ~n:9 ~k:2 in
   let config = random_config rng instance in
@@ -366,11 +341,10 @@ let test_dynamics_jobs_invariant () =
 let suite =
   [
     Alcotest.test_case "repair matches fresh SSSP" `Quick test_repair_matches_fresh;
-    Alcotest.test_case "repair/undo roundtrip" `Quick test_repair_undo_roundtrip;
     Alcotest.test_case "node costs match oracle" `Quick test_node_costs_match;
     Alcotest.test_case "best responses match oracle" `Quick test_best_responses_match;
     Alcotest.test_case "all_best matches oracle" `Quick test_all_best_match;
-    Alcotest.test_case "mask roundtrip preserves context" `Quick test_mask_roundtrip;
+    Alcotest.test_case "mask roundtrip preserves context" `Quick test_context_preserved;
     Alcotest.test_case "stability matches oracle" `Quick test_stability_matches;
     Alcotest.test_case "dynamics traces bit-identical" `Quick test_dynamics_traces_match;
     Alcotest.test_case "dynamics jobs-invariant" `Quick test_dynamics_jobs_invariant;
